@@ -3,26 +3,27 @@
 //!
 //! The batch detectors ([`masquerade`](crate::masquerade),
 //! [`anomaly`](crate::anomaly)) recompute every signature and rebuild
-//! the matching index for each pair of windows. The streaming variants
+//! the matching index for each pair of windows. The streaming drivers
 //! here instead drive a [`SignatureTier`] — the exact
-//! `SignaturePipeline` or the bounded-memory
-//! [`SketchTier`](comsig_sketch::tier::SketchTier) — and patch only the
-//! dirty subjects per [`WindowDelta`] into a maintained
+//! [`SignaturePipeline`] or the bounded-memory [`SketchTier`] — and
+//! patch only the dirty subjects per [`WindowDelta`] into a maintained
 //! [`SubjectMatcher`].
 //!
-//! [`TieredMasquerade`] / [`TieredAnomaly`] are the generic drivers;
-//! [`StreamingMasquerade`] / [`StreamingAnomaly`] are the exact-tier
-//! specialisations (pipeline + postings index), whose signatures, index
-//! and detector outputs are **bit-identical** to running the batch
-//! detector on cold rebuilds of the same windows (asserted by the tests
-//! below and, per advance, by the `check_pipeline_equiv` contract).
-//! [`SketchMasquerade`] / [`SketchAnomaly`] pair the sketch tier with an
-//! LSH-fronted [`AnnIndex`], trading documented one-sided error bands
-//! for bounded state.
+//! [`TieredMasquerade`] / [`TieredAnomaly`] are the only detector
+//! types; the aliases name their two tier pairings and carry the
+//! tier-specific constructors:
+//! - [`StreamingMasquerade`] / [`StreamingAnomaly`]: the exact tier
+//!   (pipeline + postings index), whose signatures, index and detector
+//!   outputs are **bit-identical** to running the batch detector on
+//!   cold rebuilds of the same windows (asserted by the tests below
+//!   and, per advance, by the `check_pipeline_equiv` contract);
+//! - [`SketchMasquerade`] / [`SketchAnomaly`]: the sketch tier with an
+//!   LSH-fronted [`AnnIndex`], trading documented one-sided error bands
+//!   for bounded state.
 
 use comsig_core::distance::{BatchDistance, SignatureDistance};
 use comsig_core::pipeline::{AdvanceReport, DeltaScheme, SignaturePipeline};
-use comsig_core::{SignatureSet, SignatureTier, TierMemory};
+use comsig_core::{SignatureSet, SignatureTier};
 use comsig_eval::ann::{AnnConfig, AnnIndex, SubjectMatcher};
 use comsig_eval::index::PostingsIndex;
 use comsig_graph::{CommGraph, NodeId, ShardPlan, WindowDelta};
@@ -32,14 +33,15 @@ use comsig_sketch::tier::{SketchScheme, SketchTier};
 use crate::anomaly::{anomaly_scores_from_sets, AnomalyScore};
 use crate::masquerade::{run_algorithm1_with, Detection, DetectorConfig};
 
-/// The generic streaming label-masquerading detector (Algorithm 1,
-/// online): any [`SignatureTier`] maintaining the window's signatures,
-/// any [`SubjectMatcher`] ranking them. Each [`advance`](Self::advance)
+/// The streaming label-masquerading detector (Algorithm 1, online): any
+/// [`SignatureTier`] maintaining the window's signatures, any
+/// [`SubjectMatcher`] ranking them. Each [`advance`](Self::advance)
 /// compares the previous window's signatures against the new window's,
 /// exactly as the batch detector would with `(G_t, G_{t+1})`.
 #[derive(Debug)]
 pub struct TieredMasquerade<T: SignatureTier, M: SubjectMatcher> {
     tier: T,
+    /// Candidates always equal the tier's current signatures.
     matcher: M,
     cfg: DetectorConfig,
     plan: ShardPlan,
@@ -50,24 +52,47 @@ pub struct TieredMasquerade<T: SignatureTier, M: SubjectMatcher> {
 }
 
 impl<T: SignatureTier, M: SubjectMatcher> TieredMasquerade<T, M> {
-    /// Assembles a detector from an already-seeded tier, a matcher over
-    /// the tier's current signatures, and the previous window's
-    /// signatures. The caller guarantees the matcher's candidates equal
-    /// the tier's signatures; the constructors below do.
-    fn assemble(
+    /// Reassembles a detector from restored parts without any cold
+    /// recompute: an already-seeded tier, a matcher over the tier's
+    /// current signatures and the previous window's signatures — the
+    /// `comsig serve` recovery path, which verifies the result against
+    /// a state digest recorded at capture time.
+    ///
+    /// # Errors
+    /// Returns an error when the parts are inconsistent: `prev` covers
+    /// other subjects than the tier, or the matcher's candidates miss,
+    /// add or diverge from the tier's signatures.
+    pub fn resume(
         tier: T,
         matcher: M,
         cfg: DetectorConfig,
         plan: ShardPlan,
         prev: SignatureSet,
-    ) -> Self {
-        TieredMasquerade {
+    ) -> Result<Self, String> {
+        let current = tier.signatures();
+        if prev.subjects() != current.subjects() {
+            return Err("detector resume: prev/current subject lists differ".into());
+        }
+        let candidates = matcher.candidate_set();
+        if candidates.subjects() != current.subjects() {
+            return Err(
+                "detector resume: matcher candidates diverge from the signature set".into(),
+            );
+        }
+        for ((_, a), (_, b)) in candidates.iter().zip(current.iter()) {
+            if a != b {
+                return Err(
+                    "detector resume: matcher candidate signatures diverge from the set".into(),
+                );
+            }
+        }
+        Ok(TieredMasquerade {
             tier,
             matcher,
             cfg,
             plan,
             prev,
-        }
+        })
     }
 
     /// The detector configuration.
@@ -82,12 +107,6 @@ impl<T: SignatureTier, M: SubjectMatcher> TieredMasquerade<T, M> {
         &self.tier
     }
 
-    /// The current window's signatures.
-    #[must_use]
-    pub fn signatures(&self) -> &SignatureSet {
-        self.tier.signatures()
-    }
-
     /// The previous window's signatures (the double buffer's back side).
     #[must_use]
     pub fn prev_signatures(&self) -> &SignatureSet {
@@ -98,18 +117,6 @@ impl<T: SignatureTier, M: SubjectMatcher> TieredMasquerade<T, M> {
     #[must_use]
     pub fn matcher(&self) -> &M {
         &self.matcher
-    }
-
-    /// The shard plan every advance runs under.
-    #[must_use]
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// The tier's resident-state accounting.
-    #[must_use]
-    pub fn tier_memory(&self) -> TierMemory {
-        self.tier.memory()
     }
 
     /// Consumes the next window's delta and runs Algorithm 1 between the
@@ -171,23 +178,15 @@ impl<T: SignatureTier, M: SubjectMatcher> TieredMasquerade<T, M> {
 /// [`SignaturePipeline`] maintaining the signatures and an owned
 /// [`PostingsIndex`] over them, patched per advance via
 /// [`PostingsIndex::update`].
-#[derive(Debug)]
-pub struct StreamingMasquerade<'a, S: DeltaScheme + ?Sized> {
-    inner: TieredMasquerade<SignaturePipeline<'a, S>, PostingsIndex<'static>>,
-}
+pub type StreamingMasquerade<'a, S> =
+    TieredMasquerade<SignaturePipeline<'a, S>, PostingsIndex<'static>>;
 
 impl<'a, S: DeltaScheme + ?Sized> StreamingMasquerade<'a, S> {
     /// Seeds the detector on an initial window graph (often
-    /// [`CommGraph::empty`]) and the fixed subject population, advancing
-    /// with a machine-sized [`ShardPlan`].
-    #[must_use]
-    pub fn new(scheme: &'a S, graph: CommGraph, subjects: &[NodeId], cfg: DetectorConfig) -> Self {
-        Self::with_plan(scheme, graph, subjects, cfg, ShardPlan::auto())
-    }
-
-    /// [`new`](Self::new) with an explicit shard plan, applied to the
-    /// pipeline advance, the index patching and the detector sweep.
-    /// Every plan produces bit-identical detections.
+    /// [`CommGraph::empty`]) and the fixed subject population. The
+    /// shard plan applies to the pipeline advance, the index patching
+    /// and the detector sweep; every plan produces bit-identical
+    /// detections.
     #[must_use]
     pub fn with_plan(
         scheme: &'a S,
@@ -199,22 +198,23 @@ impl<'a, S: DeltaScheme + ?Sized> StreamingMasquerade<'a, S> {
         let pipeline = SignaturePipeline::with_plan(scheme, graph, subjects, cfg.k, plan);
         let index = PostingsIndex::build_owned(pipeline.signatures().clone());
         let prev = pipeline.signatures().clone();
-        StreamingMasquerade {
-            inner: TieredMasquerade::assemble(pipeline, index, cfg, plan, prev),
+        TieredMasquerade {
+            tier: pipeline,
+            matcher: index,
+            cfg,
+            plan,
+            prev,
         }
     }
 
-    /// Reassembles a detector from persisted parts without any cold
-    /// recompute: graph, current/previous signature sets and the patched
-    /// index restore exactly as captured — the `comsig serve` recovery
-    /// path, which verifies the result against a state digest recorded
-    /// at capture time.
+    /// [`resume`](TieredMasquerade::resume) on the exact tier: restores
+    /// the pipeline from the window graph and its current signatures,
+    /// then checks the parts against each other.
     ///
     /// # Errors
-    /// Returns an error when the parts are structurally inconsistent
-    /// (subject out of range, index candidates diverging from the
-    /// pipeline's signatures, prev/current subject mismatch).
-    pub fn resume(
+    /// Returns an error when a subject is out of range for the graph or
+    /// the parts are inconsistent (see [`TieredMasquerade::resume`]).
+    pub fn resume_exact(
         scheme: &'a S,
         graph: CommGraph,
         current: SignatureSet,
@@ -223,86 +223,8 @@ impl<'a, S: DeltaScheme + ?Sized> StreamingMasquerade<'a, S> {
         cfg: DetectorConfig,
         plan: ShardPlan,
     ) -> Result<Self, String> {
-        if prev.subjects() != current.subjects() {
-            return Err("detector resume: prev/current subject lists differ".into());
-        }
-        if index.candidates().subjects() != current.subjects() {
-            return Err("detector resume: index candidates diverge from the signature set".into());
-        }
-        for ((_, a), (_, b)) in index.candidates().iter().zip(current.iter()) {
-            if a != b {
-                return Err(
-                    "detector resume: index candidate signatures diverge from the set".into(),
-                );
-            }
-        }
         let pipeline = SignaturePipeline::resume(scheme, graph, current, cfg.k, plan)?;
-        Ok(StreamingMasquerade {
-            inner: TieredMasquerade::assemble(pipeline, index, cfg, plan, prev),
-        })
-    }
-
-    /// The detector configuration.
-    #[must_use]
-    pub fn config(&self) -> &DetectorConfig {
-        self.inner.config()
-    }
-
-    /// The current window's graph.
-    #[must_use]
-    pub fn graph(&self) -> &CommGraph {
-        self.inner.tier().graph()
-    }
-
-    /// The current window's signatures.
-    #[must_use]
-    pub fn signatures(&self) -> &SignatureSet {
-        self.inner.signatures()
-    }
-
-    /// The previous window's signatures (the double buffer's back side).
-    #[must_use]
-    pub fn prev_signatures(&self) -> &SignatureSet {
-        self.inner.prev_signatures()
-    }
-
-    /// The maintained postings index over the current signatures.
-    #[must_use]
-    pub fn index(&self) -> &PostingsIndex<'static> {
-        self.inner.matcher()
-    }
-
-    /// The shard plan every advance runs under.
-    #[must_use]
-    pub fn plan(&self) -> &ShardPlan {
-        self.inner.plan()
-    }
-
-    /// The tier's resident-state accounting (CSR edges + offsets).
-    #[must_use]
-    pub fn tier_memory(&self) -> TierMemory {
-        self.inner.tier_memory()
-    }
-
-    /// Consumes the next window's delta and runs Algorithm 1 between the
-    /// previous and the new window. Returns the detection plus the
-    /// pipeline's advance report.
-    pub fn advance(&mut self, dist: &dyn BatchDistance, delta: &WindowDelta) -> StreamDetection {
-        self.inner.advance(dist, delta)
-    }
-
-    /// [`advance`](Self::advance) that additionally computes the
-    /// per-subject anomaly scores for the same window pair **before**
-    /// rolling the double buffer, so one maintained detector serves both
-    /// verdicts (the `comsig serve` query plane). Scores are
-    /// bit-identical to [`StreamingAnomaly::advance`] over the same
-    /// stream.
-    pub fn advance_with_anomaly(
-        &mut self,
-        dist: &dyn BatchDistance,
-        delta: &WindowDelta,
-    ) -> (StreamDetection, Vec<AnomalyScore>) {
-        self.inner.advance_with_anomaly(dist, delta)
+        TieredMasquerade::resume(pipeline, index, cfg, plan, prev)
     }
 }
 
@@ -318,7 +240,7 @@ impl SketchMasquerade {
     ///
     /// # Panics
     /// Panics if `subjects` contains duplicates or ids `≥ num_nodes`,
-    /// or if `cfg.k` is zero.
+    /// or if `cfg.k` or a sketch or banding size is zero.
     #[must_use]
     pub fn new_sketch(
         scheme: SketchScheme,
@@ -332,14 +254,18 @@ impl SketchMasquerade {
         let tier = SketchTier::new(scheme, stream_cfg, subjects, cfg.k, num_nodes);
         let prev = tier.signatures().clone();
         let matcher = AnnIndex::build(tier.signatures(), ann);
-        TieredMasquerade::assemble(tier, matcher, cfg, plan, prev)
+        TieredMasquerade {
+            tier,
+            matcher,
+            cfg,
+            plan,
+            prev,
+        }
     }
 
-    /// Reassembles a sketch-tier detector from a (decoded) tier and the
-    /// previous window's signatures — the `comsig serve` recovery path.
-    /// `prev` defaults to the tier's current signatures when absent
-    /// (fresh start or snapshot taken at a window boundary). The ANN
-    /// index is rebuilt deterministically from the tier's signatures and
+    /// [`resume`](TieredMasquerade::resume) on the sketch tier, from a
+    /// decoded tier and the previous window's signatures. The ANN index
+    /// is rebuilt deterministically from the tier's signatures and
     /// `ann` — LSH state is derived, never persisted.
     ///
     /// # Errors
@@ -347,22 +273,13 @@ impl SketchMasquerade {
     /// population than the tier.
     pub fn resume_sketch(
         tier: SketchTier,
-        prev: Option<SignatureSet>,
+        prev: SignatureSet,
         cfg: DetectorConfig,
         ann: AnnConfig,
         plan: ShardPlan,
     ) -> Result<Self, String> {
-        let prev = match prev {
-            Some(p) => {
-                if p.subjects() != tier.signatures().subjects() {
-                    return Err("sketch detector resume: prev/current subject lists differ".into());
-                }
-                p
-            }
-            None => tier.signatures().clone(),
-        };
         let matcher = AnnIndex::build(tier.signatures(), ann);
-        Ok(TieredMasquerade::assemble(tier, matcher, cfg, plan, prev))
+        TieredMasquerade::resume(tier, matcher, cfg, plan, prev)
     }
 }
 
@@ -376,9 +293,9 @@ pub struct StreamDetection {
     pub report: AdvanceReport,
 }
 
-/// The generic streaming anomaly detector: scores every subject's
-/// signature change across consecutive windows, with signatures
-/// maintained incrementally by any [`SignatureTier`].
+/// The streaming anomaly detector: scores every subject's signature
+/// change across consecutive windows, with signatures maintained
+/// incrementally by any [`SignatureTier`].
 #[derive(Debug)]
 pub struct TieredAnomaly<T: SignatureTier> {
     tier: T,
@@ -400,18 +317,6 @@ impl<T: SignatureTier> TieredAnomaly<T> {
     #[must_use]
     pub fn tier(&self) -> &T {
         &self.tier
-    }
-
-    /// The current window's signatures.
-    #[must_use]
-    pub fn signatures(&self) -> &SignatureSet {
-        self.tier.signatures()
-    }
-
-    /// The tier's resident-state accounting.
-    #[must_use]
-    pub fn tier_memory(&self) -> TierMemory {
-        self.tier.memory()
     }
 
     /// Consumes the next window's delta and returns the per-subject
@@ -436,27 +341,13 @@ impl<T: SignatureTier> TieredAnomaly<T> {
     }
 }
 
-/// Streaming anomaly detection on the **sketch tier**.
-pub type SketchAnomaly = TieredAnomaly<SketchTier>;
-
-/// Streaming anomaly detector on the **exact tier**: scores every
-/// subject's signature change across consecutive windows, with
-/// signatures maintained incrementally by a [`SignaturePipeline`].
-#[derive(Debug)]
-pub struct StreamingAnomaly<'a, S: DeltaScheme + ?Sized> {
-    inner: TieredAnomaly<SignaturePipeline<'a, S>>,
-}
+/// Streaming anomaly detection on the **exact tier**, with signatures
+/// maintained incrementally by a [`SignaturePipeline`].
+pub type StreamingAnomaly<'a, S> = TieredAnomaly<SignaturePipeline<'a, S>>;
 
 impl<'a, S: DeltaScheme + ?Sized> StreamingAnomaly<'a, S> {
     /// Seeds the detector on an initial window graph and the fixed
-    /// subject population, with signature length `k`, advancing with a
-    /// machine-sized [`ShardPlan`].
-    #[must_use]
-    pub fn new(scheme: &'a S, graph: CommGraph, subjects: &[NodeId], k: usize) -> Self {
-        Self::with_plan(scheme, graph, subjects, k, ShardPlan::auto())
-    }
-
-    /// [`new`](Self::new) with an explicit shard plan; every plan
+    /// subject population, with signature length `k`; every shard plan
     /// produces bit-identical scores.
     #[must_use]
     pub fn with_plan(
@@ -466,29 +357,14 @@ impl<'a, S: DeltaScheme + ?Sized> StreamingAnomaly<'a, S> {
         k: usize,
         plan: ShardPlan,
     ) -> Self {
-        let pipeline = SignaturePipeline::with_plan(scheme, graph, subjects, k, plan);
-        StreamingAnomaly {
-            inner: TieredAnomaly::from_tier(pipeline),
-        }
-    }
-
-    /// The current window's signatures.
-    #[must_use]
-    pub fn signatures(&self) -> &SignatureSet {
-        self.inner.signatures()
-    }
-
-    /// Consumes the next window's delta and returns the per-subject
-    /// anomaly scores between the previous and the new window (sorted
-    /// most-anomalous first), plus the pipeline's advance report.
-    pub fn advance(
-        &mut self,
-        dist: &dyn SignatureDistance,
-        delta: &WindowDelta,
-    ) -> (Vec<AnomalyScore>, AdvanceReport) {
-        self.inner.advance(dist, delta)
+        TieredAnomaly::from_tier(SignaturePipeline::with_plan(
+            scheme, graph, subjects, k, plan,
+        ))
     }
 }
+
+/// Streaming anomaly detection on the **sketch tier**.
+pub type SketchAnomaly = TieredAnomaly<SketchTier>;
 
 #[cfg(test)]
 mod tests {
@@ -564,8 +440,13 @@ mod tests {
         for &e in &events {
             w.push(e);
         }
-        let mut det =
-            StreamingMasquerade::new(&scheme, CommGraph::empty(NUM_NODES), &subjects, cfg);
+        let mut det = StreamingMasquerade::with_plan(
+            &scheme,
+            CommGraph::empty(NUM_NODES),
+            &subjects,
+            cfg,
+            ShardPlan::auto(),
+        );
         let mut prev_graph = CommGraph::empty(NUM_NODES);
         for _ in 0..4 {
             let delta = w.advance();
@@ -600,8 +481,13 @@ mod tests {
         for &e in &events {
             w.push(e);
         }
-        let mut det =
-            StreamingMasquerade::new(&scheme, CommGraph::empty(NUM_NODES), &subjects, cfg);
+        let mut det = StreamingMasquerade::with_plan(
+            &scheme,
+            CommGraph::empty(NUM_NODES),
+            &subjects,
+            cfg,
+            ShardPlan::auto(),
+        );
         let mut swap_detected = false;
         for _ in 0..3 {
             let delta = w.advance();
@@ -630,14 +516,19 @@ mod tests {
         for &e in &events {
             w.push(e);
         }
-        let mut det =
-            StreamingMasquerade::new(&scheme, CommGraph::empty(NUM_NODES), &subjects, cfg);
+        let mut det = StreamingMasquerade::with_plan(
+            &scheme,
+            CommGraph::empty(NUM_NODES),
+            &subjects,
+            cfg,
+            ShardPlan::auto(),
+        );
         for _ in 0..4 {
             let delta = w.advance();
             let _ = det.advance(&SHel, &delta);
         }
-        let rebuilt = PostingsIndex::build(det.index().candidates());
-        assert_eq!(det.index().posting_mass(), rebuilt.posting_mass());
+        let rebuilt = PostingsIndex::build(det.matcher().candidates());
+        assert_eq!(det.matcher().posting_mass(), rebuilt.posting_mass());
     }
 
     /// Every shard plan must produce bit-identical streaming detections
@@ -667,7 +558,7 @@ mod tests {
                     ShardPlan::new(threads),
                 );
                 let steps = (0..4).map(|_| det.advance(&SHel, &w.advance())).collect();
-                (steps, det.index().layout_digest())
+                (steps, det.matcher().layout_digest())
             })
             .collect();
         let (base_steps, base_digest) = &runs[0];
@@ -693,7 +584,13 @@ mod tests {
         for &e in &events {
             w.push(e);
         }
-        let mut det = StreamingAnomaly::new(&scheme, CommGraph::empty(NUM_NODES), &subjects, 4);
+        let mut det = StreamingAnomaly::with_plan(
+            &scheme,
+            CommGraph::empty(NUM_NODES),
+            &subjects,
+            4,
+            ShardPlan::auto(),
+        );
         let mut prev_graph = CommGraph::empty(NUM_NODES);
         for _ in 0..4 {
             let delta = w.advance();
@@ -731,11 +628,27 @@ mod tests {
             w1.push(e);
             w2.push(e);
         }
-        let mut combined =
-            StreamingMasquerade::new(&scheme, CommGraph::empty(NUM_NODES), &subjects, cfg);
-        let mut masq =
-            StreamingMasquerade::new(&scheme, CommGraph::empty(NUM_NODES), &subjects, cfg);
-        let mut anom = StreamingAnomaly::new(&scheme, CommGraph::empty(NUM_NODES), &subjects, 4);
+        let mut combined = StreamingMasquerade::with_plan(
+            &scheme,
+            CommGraph::empty(NUM_NODES),
+            &subjects,
+            cfg,
+            ShardPlan::auto(),
+        );
+        let mut masq = StreamingMasquerade::with_plan(
+            &scheme,
+            CommGraph::empty(NUM_NODES),
+            &subjects,
+            cfg,
+            ShardPlan::auto(),
+        );
+        let mut anom = StreamingAnomaly::with_plan(
+            &scheme,
+            CommGraph::empty(NUM_NODES),
+            &subjects,
+            4,
+            ShardPlan::auto(),
+        );
         for _ in 0..4 {
             let delta = w1.advance();
             let delta2 = w2.advance();
@@ -782,13 +695,13 @@ mod tests {
         let _ = det.advance(&SHel, &d0);
         let _ = det.advance(&SHel, &d1);
         // Capture the parts, as a snapshot would.
-        let graph = det.graph().clone();
-        let current = det.signatures().clone();
+        let graph = det.tier().graph().clone();
+        let current = det.tier().signatures().clone();
         let prev = det.prev_signatures().clone();
-        let layout = det.index().export_layout();
-        let index = PostingsIndex::from_layout(det.index().candidates().clone(), layout)
+        let layout = det.matcher().export_layout();
+        let index = PostingsIndex::from_layout(det.matcher().candidates().clone(), layout)
             .expect("exported layout restores");
-        let mut resumed = StreamingMasquerade::resume(
+        let mut resumed = StreamingMasquerade::resume_exact(
             &scheme,
             graph,
             current,
@@ -798,7 +711,10 @@ mod tests {
             ShardPlan::new(2),
         )
         .expect("parts are consistent");
-        assert_eq!(resumed.index().layout_digest(), det.index().layout_digest());
+        assert_eq!(
+            resumed.matcher().layout_digest(),
+            det.matcher().layout_digest()
+        );
         for _ in 0..2 {
             let delta = w.advance();
             let (a, sa) = det.advance_with_anomaly(&SHel, &delta);
@@ -806,7 +722,10 @@ mod tests {
             assert_eq!(a.detection.delta.to_bits(), b.detection.delta.to_bits());
             assert_eq!(a.detection.detected, b.detection.detected);
             assert_eq!(a.report.dirty, b.report.dirty);
-            assert_eq!(resumed.index().layout_digest(), det.index().layout_digest());
+            assert_eq!(
+                resumed.matcher().layout_digest(),
+                det.matcher().layout_digest()
+            );
             for (x, y) in sa.iter().zip(&sb) {
                 assert_eq!(x.node, y.node);
                 assert_eq!(x.score.to_bits(), y.score.to_bits());
@@ -825,7 +744,13 @@ mod tests {
         for &e in &events {
             w.push(e);
         }
-        let mut det = StreamingAnomaly::new(&scheme, CommGraph::empty(NUM_NODES), &subjects, 4);
+        let mut det = StreamingAnomaly::with_plan(
+            &scheme,
+            CommGraph::empty(NUM_NODES),
+            &subjects,
+            4,
+            ShardPlan::auto(),
+        );
         let _ = det.advance(&SHel, &w.advance());
         let _ = det.advance(&SHel, &w.advance());
         // Window 1 -> 2 is the swap.
@@ -885,7 +810,7 @@ mod tests {
             }
         }
         assert!(swap_detected, "the window-2 swap must be detected");
-        let mem = det.tier_memory();
+        let mem = det.tier().memory();
         assert!(mem.state_entries > 0 && mem.state_bytes > 0);
     }
 
@@ -904,11 +829,11 @@ mod tests {
         for _ in 0..4 {
             let _ = det.advance(&SHel, &w.advance());
         }
-        let rebuilt = AnnIndex::build(det.signatures(), AnnConfig::default());
+        let rebuilt = AnnIndex::build(det.tier().signatures(), AnnConfig::default());
         let mut ws = MatchWorkspace::new();
         let (mut a, mut b) = (Vec::new(), Vec::new());
-        for &v in det.signatures().subjects() {
-            let q = det.signatures().get(v).expect("sig");
+        for &v in det.tier().signatures().subjects() {
+            let q = det.tier().signatures().get(v).expect("sig");
             det.matcher().rank_top_l_into(&SHel, q, 6, &mut ws, &mut a);
             rebuilt.rank_top_l_into(&SHel, q, 6, &mut ws, &mut b);
             assert_eq!(a, b, "query {v}");
@@ -942,7 +867,7 @@ mod tests {
         dec.finish("sketch tier state").expect("no trailing bytes");
         let mut resumed = SketchMasquerade::resume_sketch(
             tier,
-            Some(det.prev_signatures().clone()),
+            det.prev_signatures().clone(),
             *det.config(),
             AnnConfig::default(),
             ShardPlan::new(1),
@@ -965,26 +890,87 @@ mod tests {
         }
     }
 
-    /// Prev/current subject mismatches must be rejected on sketch resume.
+    /// Both tiers' shared resume must reject parts that disagree: `prev`
+    /// over other subjects, matcher candidates missing or adding a
+    /// subject, or a candidate signature that diverges from the tier's.
     #[test]
-    fn sketch_resume_rejects_subject_mismatch() {
-        use comsig_sketch::tier::SketchTier;
-
-        let tier = SketchTier::new(
-            SketchScheme::TopTalkers,
-            StreamConfig::default(),
-            &[n(0), n(1)],
-            4,
-            8,
-        );
-        let wrong = SignatureSet::new(vec![n(0)], vec![comsig_core::Signature::empty()]);
-        let err = SketchMasquerade::resume_sketch(
-            tier,
-            Some(wrong),
-            DetectorConfig::default(),
-            AnnConfig::default(),
-            ShardPlan::new(1),
-        );
-        assert!(err.is_err());
+    fn resume_rejects_inconsistent_parts() {
+        let scheme = TopTalkers;
+        let subjects = [n(0), n(1)];
+        let cfg = DetectorConfig {
+            k: 4,
+            ..DetectorConfig::default()
+        };
+        let plan = ShardPlan::new(1);
+        // One window in which hosts 0 and 1 talk to disjoint sets, so
+        // their signatures are non-empty and distinct.
+        let mut w = SlidingWindower::tumbling(0, 10);
+        for e in stream().into_iter().filter(|e| e.time < 10) {
+            w.push(e);
+        }
+        let delta = w.advance();
+        let exact = || {
+            let mut p = SignaturePipeline::with_plan(
+                &scheme,
+                CommGraph::empty(NUM_NODES),
+                &subjects,
+                cfg.k,
+                plan,
+            );
+            let _ = p.advance_window(&delta);
+            p
+        };
+        let sketch = || {
+            let mut t = SketchTier::new(
+                SketchScheme::TopTalkers,
+                StreamConfig::default(),
+                &subjects,
+                cfg.k,
+                NUM_NODES,
+            );
+            let _ = t.advance_window(&delta);
+            t
+        };
+        // (case, prev, matcher candidates) over a tier's current set.
+        let cases = |current: &SignatureSet| {
+            let sig = |v| current.get(v).expect("subject").clone();
+            assert_ne!(sig(n(0)), sig(n(1)));
+            vec![
+                ("consistent", current.clone(), current.clone()),
+                (
+                    "prev misses a subject",
+                    SignatureSet::new(vec![n(0)], vec![sig(n(0))]),
+                    current.clone(),
+                ),
+                (
+                    "candidates miss a subject",
+                    current.clone(),
+                    SignatureSet::new(vec![n(0)], vec![sig(n(0))]),
+                ),
+                (
+                    "candidates add a subject",
+                    current.clone(),
+                    SignatureSet::new(
+                        vec![n(0), n(1), n(2)],
+                        vec![sig(n(0)), sig(n(1)), comsig_core::Signature::empty()],
+                    ),
+                ),
+                (
+                    "a candidate signature diverges",
+                    current.clone(),
+                    SignatureSet::new(vec![n(0), n(1)], vec![sig(n(1)), sig(n(0))]),
+                ),
+            ]
+        };
+        for (case, prev, candidates) in cases(exact().signatures()) {
+            let index = PostingsIndex::build_owned(candidates);
+            let got = TieredMasquerade::resume(exact(), index, cfg, plan, prev);
+            assert_eq!(got.is_ok(), case == "consistent", "exact tier: {case}");
+        }
+        for (case, prev, candidates) in cases(sketch().signatures()) {
+            let ann = AnnIndex::build_owned(candidates, AnnConfig::default());
+            let got = TieredMasquerade::resume(sketch(), ann, cfg, plan, prev);
+            assert_eq!(got.is_ok(), case == "consistent", "sketch tier: {case}");
+        }
     }
 }

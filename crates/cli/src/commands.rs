@@ -8,15 +8,24 @@ use comsig_apps::anomaly::{anomaly_scores, Alarm};
 use comsig_apps::masquerade::{detect_label_masquerading, DetectorConfig};
 use comsig_apps::measure::{measure, rank_levels, MeasureConfig};
 use comsig_apps::multiusage;
+use comsig_apps::stream::{TieredAnomaly, TieredMasquerade};
+use comsig_core::distance::BatchDistance;
 use comsig_core::scheme::SignatureScheme;
+use comsig_core::SignatureTier;
 use comsig_datagen::flownet::{self, AnomalyConfig, FlowNetConfig, MultiusageConfig};
 use comsig_datagen::querylog::{self, QueryLogConfig};
+use comsig_eval::ann::{AnnConfig, SubjectMatcher};
 use comsig_eval::ranking::Ranking;
 use comsig_eval::roc::self_identification;
 use comsig_graph::io::{read_events_with_policy, write_events};
 use comsig_graph::stats::graph_stats;
 use comsig_graph::window::{GraphSequence, WindowSpec};
-use comsig_graph::{CommGraph, EdgeEvent, IngestPolicy, Interner, NodeId, ShardPlan};
+use comsig_graph::{
+    CommGraph, EdgeEvent, IngestPolicy, Interner, NodeId, ShardPlan, SlidingWindower,
+};
+use comsig_serve::config::TierSpec;
+use comsig_sketch::stream::StreamConfig;
+use comsig_sketch::tier::{SketchScheme, SketchTier};
 
 use crate::spec::{parse_delta_scheme, parse_distance, parse_scheme, Parsed};
 use crate::CliError;
@@ -204,6 +213,58 @@ fn scheme_of(parsed: &Parsed) -> Result<Box<dyn SignatureScheme>, CliError> {
 
 fn dist_of(parsed: &Parsed) -> Result<Box<dyn comsig_core::distance::BatchDistance>, CliError> {
     parse_distance(parsed.get("dist").unwrap_or("shel"))
+}
+
+/// The `--tier` choice and the sketch sizing flags, shared by `stream`
+/// and `serve`.
+struct TierFlags {
+    /// The approximated scheme on `--tier sketch`; `None` on the exact
+    /// tier, which ignores the sizing below.
+    sketch: Option<SketchScheme>,
+    stream_cfg: StreamConfig,
+    ann: AnnConfig,
+}
+
+/// Parses `--tier` and the sketch flags. The sketch tier covers only
+/// tt|ut schemes and needs `k` and every sketch and banding size to be
+/// positive (its constructors panic on a zero size), so both are usage
+/// errors here, before anything is built or stamped.
+fn tier_flags(parsed: &Parsed, scheme_spec: &str, k: usize) -> Result<TierFlags, CliError> {
+    let tier_spec = parsed.get("tier").unwrap_or("exact");
+    let tier = TierSpec::parse(tier_spec)
+        .ok_or_else(|| CliError::Usage(format!("unknown tier `{tier_spec}` (exact|sketch)")))?;
+    let sketch = match tier {
+        TierSpec::Exact => None,
+        TierSpec::Sketch => Some(SketchScheme::parse(scheme_spec).ok_or_else(|| {
+            CliError::Usage(format!(
+                "--tier sketch supports tt|ut schemes, not `{scheme_spec}`"
+            ))
+        })?),
+    };
+    let stream_cfg = StreamConfig {
+        cm_width: parsed.num("cm-width", 128)?,
+        cm_depth: parsed.num("cm-depth", 4)?,
+        candidate_budget: parsed.num("budget", 64)?,
+        fm_bitmaps: parsed.num("fm", 32)?,
+        seed: parsed.num("sketch-seed", 1)?,
+        indeg_cells: parsed.num("indeg-cells", 0)?,
+        indeg_depth: parsed.num("indeg-depth", 2)?,
+    };
+    let ann = AnnConfig {
+        bands: parsed.num("bands", AnnConfig::default().bands)?,
+        rows: parsed.num("rows", AnnConfig::default().rows)?,
+        seed: parsed.num("sketch-seed", AnnConfig::default().seed)?,
+    };
+    if sketch.is_some() {
+        SketchTier::check_sizes(&stream_cfg, k)
+            .and_then(|()| ann.check_sizes())
+            .map_err(|e| CliError::Usage(format!("--tier sketch: {e}")))?;
+    }
+    Ok(TierFlags {
+        sketch,
+        stream_cfg,
+        ann,
+    })
 }
 
 // --- gen ------------------------------------------------------------------
@@ -554,12 +615,8 @@ fn cmd_detect(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
 
 fn cmd_stream(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     use comsig_apps::stream::{
-        SketchAnomaly, SketchMasquerade, StreamingAnomaly, StreamingMasquerade, TieredAnomaly,
+        SketchAnomaly, SketchMasquerade, StreamingAnomaly, StreamingMasquerade,
     };
-    use comsig_eval::ann::AnnConfig;
-    use comsig_graph::SlidingWindower;
-    use comsig_sketch::stream::StreamConfig;
-    use comsig_sketch::tier::{SketchScheme, SketchTier};
 
     let (interner, events) = load_events(parsed, out)?;
     let scheme_spec = parsed.get("scheme").unwrap_or("tt");
@@ -582,38 +639,7 @@ fn cmd_stream(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     } else {
         ShardPlan::new(threads)
     };
-    // Tier choice: `exact` maintains the materialised graph and is
-    // bit-identical to cold recomputes; `sketch` folds the deltas into
-    // bounded per-node sketches (tt/ut only) and fronts matching with a
-    // banded-LSH index — documented one-sided error, Θ(1) state/node.
-    let tier = parsed.get("tier").unwrap_or("exact");
-    let sketch_scheme = match tier {
-        "exact" => None,
-        "sketch" => Some(SketchScheme::parse(scheme_spec).ok_or_else(|| {
-            CliError::Usage(format!(
-                "--tier sketch supports tt|ut schemes, not `{scheme_spec}`"
-            ))
-        })?),
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown tier `{other}` (exact|sketch)"
-            )));
-        }
-    };
-    let stream_cfg = StreamConfig {
-        cm_width: parsed.num("cm-width", 128)?,
-        cm_depth: parsed.num("cm-depth", 4)?,
-        candidate_budget: parsed.num("budget", 64)?,
-        fm_bitmaps: parsed.num("fm", 32)?,
-        seed: parsed.num("sketch-seed", 1)?,
-        indeg_cells: parsed.num("indeg-cells", 0)?,
-        indeg_depth: parsed.num("indeg-depth", 2)?,
-    };
-    let ann = AnnConfig {
-        bands: parsed.num("bands", AnnConfig::default().bands)?,
-        rows: parsed.num("rows", AnnConfig::default().rows)?,
-        seed: parsed.num("sketch-seed", AnnConfig::default().seed)?,
-    };
+    let tier = tier_flags(parsed, scheme_spec, k)?;
 
     // Fixed subject population: every label that ever speaks.
     let mut subjects: Vec<NodeId> = {
@@ -637,125 +663,55 @@ fn cmd_stream(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
         dist.name()
     )?;
     let empty = CommGraph::empty(interner.len());
-
-    // The per-window report lines are identical between tiers on
-    // purpose: `--tier exact` output stays byte-for-byte what it was
-    // before the tier seam existed.
-    fn report_anomaly(
-        out: &mut dyn Write,
-        interner: &Interner,
-        delta: &comsig_graph::WindowDelta,
-        scores: &[comsig_apps::anomaly::AnomalyScore],
-        report: &comsig_core::pipeline::AdvanceReport,
-        top: usize,
-    ) -> Result<(), CliError> {
-        writeln!(
-            out,
-            "window [{}, {}): {} edge changes, {}/{} recomputed",
-            delta.start,
-            delta.end,
-            report.changed_edges,
-            report.dirty_subjects(),
-            report.total_subjects
-        )?;
-        for s in scores.iter().take(top).filter(|s| s.score > 0.0) {
-            writeln!(
-                out,
-                "  {:16} score = {:.4}",
-                interner.label(s.node).unwrap_or("?"),
-                s.score
-            )?;
-        }
-        Ok(())
-    }
-    fn report_masquerade(
-        out: &mut dyn Write,
-        interner: &Interner,
-        delta: &comsig_graph::WindowDelta,
-        step: &comsig_apps::stream::StreamDetection,
-    ) -> Result<(), CliError> {
-        writeln!(
-            out,
-            "window [{}, {}): {} edge changes, {}/{} recomputed, delta = {:.4}, {} re-paired",
-            delta.start,
-            delta.end,
-            step.report.changed_edges,
-            step.report.dirty_subjects(),
-            step.report.total_subjects,
-            step.detection.delta,
-            step.detection.detected.len()
-        )?;
-        for (v, u) in &step.detection.detected {
-            writeln!(
-                out,
-                "  {} -> {}",
-                interner.label(*v).unwrap_or("?"),
-                interner.label(*u).unwrap_or("?")
-            )?;
-        }
-        Ok(())
-    }
+    let dist = dist.as_ref();
 
     let mut sketch_memory = None;
-    match (task, sketch_scheme) {
+    match (task, tier.sketch) {
         ("anomaly", None) => {
             let mut det = StreamingAnomaly::with_plan(scheme.as_ref(), empty, &subjects, k, plan);
-            while windower.pending_events() > 0 {
-                let delta = windower.advance();
-                let (scores, report) = det.advance(dist.as_ref(), &delta);
-                report_anomaly(out, &interner, &delta, &scores, &report, top)?;
-            }
+            stream_anomaly(&mut det, &mut windower, dist, &interner, top, out)?;
         }
         ("anomaly", Some(s)) => {
-            let tier = SketchTier::new(s, stream_cfg, &subjects, k, interner.len());
-            let mut det: SketchAnomaly = TieredAnomaly::from_tier(tier);
-            while windower.pending_events() > 0 {
-                let delta = windower.advance();
-                let (scores, report) = det.advance(dist.as_ref(), &delta);
-                report_anomaly(out, &interner, &delta, &scores, &report, top)?;
-            }
-            sketch_memory = Some((det.tier_memory(), 0usize, det.tier().dropped_changes()));
+            let tier = SketchTier::new(s, tier.stream_cfg, &subjects, k, interner.len());
+            let mut det = SketchAnomaly::from_tier(tier);
+            stream_anomaly(&mut det, &mut windower, dist, &interner, top, out)?;
+            sketch_memory = Some((det.tier().memory(), 0usize, det.tier().dropped_changes()));
         }
-        ("masquerade", None) => {
+        ("masquerade", sketch) => {
             let cfg = DetectorConfig {
                 k,
                 threshold_divisor: parsed.num("c", 5.0)?,
                 top_l: parsed.num("l", 3)?,
             };
-            let mut det =
-                StreamingMasquerade::with_plan(scheme.as_ref(), empty, &subjects, cfg, plan);
-            while windower.pending_events() > 0 {
-                let delta = windower.advance();
-                let step = det.advance(dist.as_ref(), &delta);
-                report_masquerade(out, &interner, &delta, &step)?;
+            match sketch {
+                None => {
+                    let mut det = StreamingMasquerade::with_plan(
+                        scheme.as_ref(),
+                        empty,
+                        &subjects,
+                        cfg,
+                        plan,
+                    );
+                    stream_masquerade(&mut det, &mut windower, dist, &interner, out)?;
+                }
+                Some(s) => {
+                    let mut det = SketchMasquerade::new_sketch(
+                        s,
+                        tier.stream_cfg,
+                        &subjects,
+                        interner.len(),
+                        cfg,
+                        tier.ann,
+                        plan,
+                    );
+                    stream_masquerade(&mut det, &mut windower, dist, &interner, out)?;
+                    sketch_memory = Some((
+                        det.tier().memory(),
+                        det.matcher().memory_entries(),
+                        det.tier().dropped_changes(),
+                    ));
+                }
             }
-        }
-        ("masquerade", Some(s)) => {
-            use comsig_eval::ann::SubjectMatcher;
-            let cfg = DetectorConfig {
-                k,
-                threshold_divisor: parsed.num("c", 5.0)?,
-                top_l: parsed.num("l", 3)?,
-            };
-            let mut det = SketchMasquerade::new_sketch(
-                s,
-                stream_cfg,
-                &subjects,
-                interner.len(),
-                cfg,
-                ann,
-                plan,
-            );
-            while windower.pending_events() > 0 {
-                let delta = windower.advance();
-                let step = det.advance(dist.as_ref(), &delta);
-                report_masquerade(out, &interner, &delta, &step)?;
-            }
-            sketch_memory = Some((
-                det.tier_memory(),
-                det.matcher().memory_entries(),
-                det.tier().dropped_changes(),
-            ));
         }
         (other, _) => {
             return Err(CliError::Usage(format!(
@@ -780,6 +736,79 @@ fn cmd_stream(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
         windower.late_events(),
         windower.gap_events()
     )?;
+    Ok(())
+}
+
+// The per-window report lines are identical between tiers on purpose:
+// `--tier exact` output stays byte-for-byte what it was before the tier
+// seam existed.
+
+/// Drains `windower` through an anomaly detector on any tier, reporting
+/// each window's top `top` positive scores.
+fn stream_anomaly<T: SignatureTier>(
+    det: &mut TieredAnomaly<T>,
+    windower: &mut SlidingWindower,
+    dist: &dyn BatchDistance,
+    interner: &Interner,
+    top: usize,
+    out: &mut dyn Write,
+) -> Result<(), CliError> {
+    while windower.pending_events() > 0 {
+        let delta = windower.advance();
+        let (scores, report) = det.advance(dist, &delta);
+        writeln!(
+            out,
+            "window [{}, {}): {} edge changes, {}/{} recomputed",
+            delta.start,
+            delta.end,
+            report.changed_edges,
+            report.dirty_subjects(),
+            report.total_subjects
+        )?;
+        for s in scores.iter().take(top).filter(|s| s.score > 0.0) {
+            writeln!(
+                out,
+                "  {:16} score = {:.4}",
+                interner.label(s.node).unwrap_or("?"),
+                s.score
+            )?;
+        }
+    }
+    Ok(())
+}
+
+/// Drains `windower` through a masquerade detector on any tier and
+/// matcher, reporting each window's re-paired labels.
+fn stream_masquerade<T: SignatureTier, M: SubjectMatcher>(
+    det: &mut TieredMasquerade<T, M>,
+    windower: &mut SlidingWindower,
+    dist: &dyn BatchDistance,
+    interner: &Interner,
+    out: &mut dyn Write,
+) -> Result<(), CliError> {
+    while windower.pending_events() > 0 {
+        let delta = windower.advance();
+        let step = det.advance(dist, &delta);
+        writeln!(
+            out,
+            "window [{}, {}): {} edge changes, {}/{} recomputed, delta = {:.4}, {} re-paired",
+            delta.start,
+            delta.end,
+            step.report.changed_edges,
+            step.report.dirty_subjects(),
+            step.report.total_subjects,
+            step.detection.delta,
+            step.detection.detected.len()
+        )?;
+        for (v, u) in &step.detection.detected {
+            writeln!(
+                out,
+                "  {} -> {}",
+                interner.label(*v).unwrap_or("?"),
+                interner.label(*u).unwrap_or("?")
+            )?;
+        }
+    }
     Ok(())
 }
 
@@ -872,11 +901,7 @@ fn cmd_advise(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
 // --- serve ------------------------------------------------------------------
 
 fn cmd_serve(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
-    use comsig_eval::ann::AnnConfig;
-    use comsig_serve::config::TierSpec;
     use comsig_serve::{run_server, ServeConfig, ServerOpts};
-    use comsig_sketch::stream::StreamConfig;
-    use comsig_sketch::tier::SketchScheme;
 
     let data_dir = parsed.require("data-dir")?;
     let seed_path = parsed.require("seed-events")?;
@@ -903,21 +928,14 @@ fn cmd_serve(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
         return Err(CliError::Usage("--slide must be >= 1".into()));
     }
     let default_start = seed_events.iter().map(|e| e.time).min().unwrap_or(0);
-    // Tier choice mirrors `comsig stream`: the sketch tier only covers
-    // tt/ut schemes, so reject the combination before the server stamps
-    // its config and the mistake becomes durable.
-    let tier_spec = parsed.get("tier").unwrap_or("exact");
-    let tier = TierSpec::parse(tier_spec)
-        .ok_or_else(|| CliError::Usage(format!("unknown tier `{tier_spec}` (exact|sketch)")))?;
-    if tier == TierSpec::Sketch && SketchScheme::parse(&scheme_spec).is_none() {
-        return Err(CliError::Usage(format!(
-            "--tier sketch supports tt|ut schemes, not `{scheme_spec}`"
-        )));
-    }
+    // Rejected here, a bad tier choice never reaches the config stamp,
+    // where the mistake would become durable.
+    let k = parsed.num("k", 10)?;
+    let tier = tier_flags(parsed, &scheme_spec, k)?;
     let config = ServeConfig {
         scheme_spec,
         dist_spec,
-        k: parsed.num("k", 10)?,
+        k,
         width,
         slide,
         start: parsed.num("start", default_start)?,
@@ -926,21 +944,13 @@ fn cmd_serve(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
         snapshot_every: parsed.num("snapshot-every", 0)?,
         threads: parsed.num("threads", 0)?,
         ingest,
-        tier,
-        sketch: StreamConfig {
-            cm_width: parsed.num("cm-width", 128)?,
-            cm_depth: parsed.num("cm-depth", 4)?,
-            candidate_budget: parsed.num("budget", 64)?,
-            fm_bitmaps: parsed.num("fm", 32)?,
-            seed: parsed.num("sketch-seed", 1)?,
-            indeg_cells: parsed.num("indeg-cells", 0)?,
-            indeg_depth: parsed.num("indeg-depth", 2)?,
+        tier: if tier.sketch.is_some() {
+            TierSpec::Sketch
+        } else {
+            TierSpec::Exact
         },
-        ann: AnnConfig {
-            bands: parsed.num("bands", AnnConfig::default().bands)?,
-            rows: parsed.num("rows", AnnConfig::default().rows)?,
-            seed: parsed.num("sketch-seed", AnnConfig::default().seed)?,
-        },
+        sketch: tier.stream_cfg,
+        ann: tier.ann,
     };
     let opts = ServerOpts {
         listen: parsed.get("listen").unwrap_or("127.0.0.1:0").to_owned(),
@@ -1340,6 +1350,51 @@ mod tests {
             run_to_string(&["stream", "--input", &path, "--tier", "wat"]),
             Err(CliError::Usage(_))
         ));
+    }
+
+    /// A zero sketch or banding size (or `k`) on the sketch tier is a
+    /// usage error from both `stream` and `serve`, not a constructor
+    /// panic; the exact tier ignores the sketch flags.
+    #[test]
+    fn sketch_zero_sizing_is_a_usage_error() {
+        let path = temp_path("stream_zero_sizing.events");
+        std::fs::write(&path, "0 a x 3\n0 b y 2\n10 a x 3\n10 b q 2\n").unwrap();
+        for flag in [
+            "--cm-width",
+            "--cm-depth",
+            "--budget",
+            "--k",
+            "--bands",
+            "--rows",
+        ] {
+            for task in ["anomaly", "masquerade"] {
+                let args = ["stream", "--input", &path, "--task", task, flag, "0"];
+                let sketch = [&args[..], &["--tier", "sketch"]].concat();
+                assert!(
+                    matches!(run_to_string(&sketch), Err(CliError::Usage(_))),
+                    "stream {task} {flag} 0"
+                );
+                if flag != "--k" {
+                    assert!(run_to_string(&args).is_ok(), "exact {task} {flag} 0");
+                }
+            }
+            let data = temp_path(&format!("serve_zero_sizing{flag}"));
+            let serve = [
+                "serve",
+                "--data-dir",
+                &data,
+                "--seed-events",
+                &path,
+                "--tier",
+                "sketch",
+                flag,
+                "0",
+            ];
+            assert!(
+                matches!(run_to_string(&serve), Err(CliError::Usage(_))),
+                "serve {flag} 0"
+            );
+        }
     }
 
     /// `--threads N` must not change a single output byte: the sharded

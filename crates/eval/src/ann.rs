@@ -60,6 +60,21 @@ impl Default for AnnConfig {
 }
 
 impl AnnConfig {
+    /// Checks that the banding is non-empty, as [`AnnIndex::build`]
+    /// requires.
+    ///
+    /// # Errors
+    /// Names the first size that is zero.
+    pub fn check_sizes(&self) -> Result<(), String> {
+        match [("bands", self.bands), ("rows", self.rows)]
+            .iter()
+            .find(|&&(_, size)| size == 0)
+        {
+            Some((name, _)) => Err(format!("{name} must be positive")),
+            None => Ok(()),
+        }
+    }
+
     /// The similarity threshold `(1/b)^{1/r}` of the banding S-curve.
     #[must_use]
     pub fn similarity_threshold(&self) -> f64 {

@@ -22,12 +22,9 @@ pub const PANIC_ROOTS: &[&str] = &[
     "PostingsIndex::update",
     "PostingsIndex::update_with",
     "merge_score",
-    "StreamingMasquerade::advance",
-    "StreamingAnomaly::advance",
-    // The tier seam: both detectors are now thin wrappers over the
-    // generic tiered drivers, and the sketch tier's advance is a hot
-    // path of its own (every window folds the delta into the sketches
-    // and re-ranks through the LSH-fronted matcher).
+    // The tiered detectors drive both tiers, and the sketch tier's
+    // advance is a hot path of its own (every window folds the delta
+    // into the sketches and re-ranks through the LSH-fronted matcher).
     "TieredMasquerade::advance",
     "TieredMasquerade::advance_with_anomaly",
     "TieredAnomaly::advance",
@@ -90,13 +87,56 @@ fn hot_reach(ws: &Workspace) -> BTreeMap<usize, usize> {
         .fns
         .iter()
         .enumerate()
-        .filter(|(_, d)| !d.is_test && PANIC_ROOTS.contains(&d.qualified().as_str()))
-        .filter(|(_, d)| in_panic_scope(&ws.files[d.file].src.path))
+        .filter(|(_, d)| is_root_candidate(ws, d) && PANIC_ROOTS.contains(&d.qualified().as_str()))
         .map(|(i, _)| i)
         .collect();
     reach(ws, &roots, &|d: &FnDef| {
         in_panic_scope(&ws.files[d.file].src.path)
     })
+}
+
+/// Whether `def` can be a hot-path root: a non-test fn inside the
+/// panic scope.
+fn is_root_candidate(ws: &Workspace, def: &FnDef) -> bool {
+    !def.is_test && in_panic_scope(&ws.files[def.file].src.path)
+}
+
+/// The file declaring [`PANIC_ROOTS`], where stale roots are reported.
+const ROOTS_FILE: &str = "crates/lint/src/dataflow.rs";
+
+/// Workspace-level `panic-path` check: every [`PANIC_ROOTS`] name must
+/// resolve to at least one non-test fn in the hot-path crates. A root
+/// that names nothing silently drops its coverage, so it is reported
+/// like an unused allowlist entry. Not part of [`check_workspace`]: a
+/// fixture is a single file, in which most roots name nothing.
+#[must_use]
+pub fn stale_roots(ws: &Workspace) -> Vec<Diagnostic> {
+    let declared = ws.files.iter().find(|f| f.src.path == ROOTS_FILE);
+    PANIC_ROOTS
+        .iter()
+        .filter(|&&root| {
+            !ws.fns
+                .iter()
+                .any(|d| is_root_candidate(ws, d) && d.qualified() == root)
+        })
+        .map(|root| {
+            let quoted = format!("\"{root}\"");
+            let line = declared
+                .and_then(|f| f.src.raw.iter().position(|l| l.contains(&quoted)))
+                .map_or(0, |i| i + 1);
+            Diagnostic {
+                rule: "panic-path",
+                path: ROOTS_FILE.to_owned(),
+                line,
+                message: format!(
+                    "PANIC_ROOTS entry `{root}` names no non-test fn in the hot-path crates; \
+                     remove it"
+                ),
+                snippet: String::new(),
+                chain: Vec::new(),
+            }
+        })
+        .collect()
 }
 
 fn in_panic_scope(path: &str) -> bool {
@@ -769,6 +809,30 @@ mod tests {
     fn run_on(path: &str, src: &str) -> Vec<Diagnostic> {
         let ws = Workspace::build(vec![SourceFile::from_text(path, src)]);
         check_workspace(&ws)
+    }
+
+    #[test]
+    fn stale_roots_reports_roots_without_a_hot_path_fn() {
+        let src = "pub struct SignaturePipeline;\n\
+            impl SignaturePipeline {\n\
+                pub fn advance(&mut self) {}\n\
+            }\n\
+            #[cfg(test)]\n\
+            mod tests {\n\
+                fn merge_score() {}\n\
+            }\n";
+        let ws = Workspace::build(vec![
+            SourceFile::from_text("crates/core/src/pipeline.rs", src),
+            SourceFile::from_text("crates/cli/src/commands.rs", "fn handle_line() {}\n"),
+        ]);
+        let stale: Vec<String> = stale_roots(&ws).into_iter().map(|d| d.message).collect();
+        assert_eq!(stale.len(), PANIC_ROOTS.len() - 1, "{stale:?}");
+        assert!(!stale
+            .iter()
+            .any(|m| m.contains("`SignaturePipeline::advance`")));
+        // A test fn and a fn outside the hot-path crates resolve nothing.
+        assert!(stale.iter().any(|m| m.contains("`merge_score`")));
+        assert!(stale.iter().any(|m| m.contains("`handle_line`")));
     }
 
     #[test]

@@ -56,20 +56,27 @@ pub use rules::{render, Diagnostic};
 /// Runs the full lint pass over the workspace rooted at `root`.
 /// Returns the surviving (non-allowlisted) diagnostics, sorted.
 pub fn run(root: &Path) -> Vec<Diagnostic> {
-    let mut diags = match load_sources(root) {
-        Ok(sources) => analyze(sources),
-        Err(e) => vec![Diagnostic {
-            rule: "io-error",
-            path: String::new(),
-            line: 0,
-            message: format!("cannot scan workspace: {e}"),
-            snippet: String::new(),
-            chain: Vec::new(),
-        }],
+    let (mut diags, mut stale_roots) = match load_sources(root) {
+        Ok(sources) => {
+            let (ws, diags) = analyze_workspace(sources);
+            (diags, dataflow::stale_roots(&ws))
+        }
+        Err(e) => (
+            vec![Diagnostic {
+                rule: "io-error",
+                path: String::new(),
+                line: 0,
+                message: format!("cannot scan workspace: {e}"),
+                snippet: String::new(),
+                chain: Vec::new(),
+            }],
+            Vec::new(),
+        ),
     };
     let (entries, mut allow_diags) = allowlist::load(&root.join("crates/lint/allowlist.txt"));
     diags = allowlist::apply(&entries, diags);
     diags.append(&mut allow_diags);
+    diags.append(&mut stale_roots);
     diags.extend(vendor::check(root));
     sort(&mut diags);
     diags
@@ -81,6 +88,11 @@ pub fn run(root: &Path) -> Vec<Diagnostic> {
 /// places it in the right rule scope.
 #[must_use]
 pub fn analyze(sources: Vec<source::SourceFile>) -> Vec<Diagnostic> {
+    analyze_workspace(sources).1
+}
+
+/// [`analyze`], also returning the workspace model it built.
+fn analyze_workspace(sources: Vec<source::SourceFile>) -> (Workspace, Vec<Diagnostic>) {
     let mut diags = Vec::new();
     for src in &sources {
         diags.extend(rules::check_file(src));
@@ -89,7 +101,7 @@ pub fn analyze(sources: Vec<source::SourceFile>) -> Vec<Diagnostic> {
     let ws = Workspace::build(sources);
     diags.extend(dataflow::check_workspace(&ws));
     sort(&mut diags);
-    diags
+    (ws, diags)
 }
 
 fn sort(diags: &mut [Diagnostic]) {

@@ -559,8 +559,8 @@ mod tests {
             "post-recovery advance must be bit-identical"
         );
         assert_eq!(
-            b.live().det.exact().unwrap().index().layout_digest(),
-            a.live().det.exact().unwrap().index().layout_digest()
+            b.live().det.exact().unwrap().matcher().layout_digest(),
+            a.live().det.exact().unwrap().matcher().layout_digest()
         );
     }
 

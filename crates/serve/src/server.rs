@@ -166,9 +166,12 @@ mod tests {
     use super::*;
     use comsig_core::distance::SHel;
     use comsig_core::scheme::TopTalkers;
+    use comsig_eval::ann::AnnConfig;
     use comsig_graph::{Interner, NodeId};
+    use comsig_sketch::stream::StreamConfig;
 
     use crate::client::call;
+    use crate::config::TierSpec;
 
     #[test]
     fn server_round_trip_over_tcp() {
@@ -230,5 +233,93 @@ mod tests {
             }
             server.join().unwrap().unwrap();
         });
+    }
+
+    /// A zero sketch or banding size must fail startup with a typed
+    /// config error, and `run_server` must return: recovery runs inside
+    /// the acceptor's scope, so a panic there would leave the acceptor
+    /// polling and the service answering `recovering` forever.
+    #[test]
+    fn zero_sketch_sizing_fails_startup_without_hanging() {
+        let base = ServeConfig {
+            width: 10,
+            slide: 10,
+            k: 3,
+            tier: TierSpec::Sketch,
+            ..ServeConfig::default()
+        };
+        let sketch = base.sketch;
+        let ann = base.ann;
+        let configs = [
+            ServeConfig {
+                k: 0,
+                ..base.clone()
+            },
+            ServeConfig {
+                sketch: StreamConfig {
+                    cm_width: 0,
+                    ..sketch
+                },
+                ..base.clone()
+            },
+            ServeConfig {
+                sketch: StreamConfig {
+                    cm_depth: 0,
+                    ..sketch
+                },
+                ..base.clone()
+            },
+            ServeConfig {
+                sketch: StreamConfig {
+                    candidate_budget: 0,
+                    ..sketch
+                },
+                ..base.clone()
+            },
+            ServeConfig {
+                ann: AnnConfig { bands: 0, ..ann },
+                ..base.clone()
+            },
+            ServeConfig {
+                ann: AnnConfig { rows: 0, ..ann },
+                ..base
+            },
+        ];
+        for (i, config) in configs.into_iter().enumerate() {
+            let dir = std::env::temp_dir()
+                .join("comsig-serve-server-tests")
+                .join(format!("zero-sizing-{i}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let (tx, rx) = std::sync::mpsc::channel();
+            let server = thread::spawn(move || {
+                let mut interner = Interner::new();
+                for i in 0..4 {
+                    interner.intern(&format!("h{i}"));
+                }
+                let genesis = GenesisSpace {
+                    interner,
+                    subjects: (0..4).map(NodeId::new).collect(),
+                };
+                let opts = ServerOpts {
+                    listen: "127.0.0.1:0".to_owned(),
+                    addr_file: None,
+                };
+                let got = run_server(
+                    &TopTalkers,
+                    &SHel,
+                    config,
+                    &dir,
+                    genesis,
+                    &opts,
+                    &mut Vec::new(),
+                );
+                let _ = tx.send(matches!(got, Err(ServeError::Config(_))));
+            });
+            let typed = rx
+                .recv_timeout(Duration::from_secs(30))
+                .expect("run_server must return instead of hanging");
+            assert!(typed, "config #{i} must be a typed config error");
+            server.join().expect("server thread exits cleanly");
+        }
     }
 }

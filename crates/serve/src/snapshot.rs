@@ -81,10 +81,10 @@ pub fn encode_snapshot(config: &ServeConfig, live: &LiveState<'_>, wal_epoch: u6
     match &live.det {
         TierDetector::Exact(det) => {
             enc.u8(0);
-            persist::encode_graph(&mut enc, det.graph());
-            persist::encode_signature_set(&mut enc, det.signatures());
+            persist::encode_graph(&mut enc, det.tier().graph());
+            persist::encode_signature_set(&mut enc, det.tier().signatures());
             persist::encode_signature_set(&mut enc, det.prev_signatures());
-            let layout = det.index().export_layout();
+            let layout = det.matcher().export_layout();
             enc.len(layout.members.len());
             for &(u, slot) in &layout.members {
                 enc.u32(u.raw());
@@ -277,7 +277,7 @@ pub fn decode_snapshot<'a>(
             let index =
                 PostingsIndex::from_layout(current.clone(), layout).map_err(ServeError::Corrupt)?;
             TierDetector::Exact(Box::new(
-                StreamingMasquerade::resume(
+                StreamingMasquerade::resume_exact(
                     scheme,
                     graph,
                     current,
@@ -292,7 +292,7 @@ pub fn decode_snapshot<'a>(
         TierState::Sketch { tier, prev } => TierDetector::Sketch(Box::new(
             SketchMasquerade::resume_sketch(
                 tier,
-                Some(prev),
+                prev,
                 detector_config(config),
                 config.ann,
                 plan_of(config),
@@ -378,8 +378,8 @@ mod tests {
         assert_eq!(back.state_digest(), live.state_digest());
         assert_eq!(back.last, live.last);
         assert_eq!(
-            back.det.exact().unwrap().index().layout_digest(),
-            live.det.exact().unwrap().index().layout_digest()
+            back.det.exact().unwrap().matcher().layout_digest(),
+            live.det.exact().unwrap().matcher().layout_digest()
         );
         // Re-encoding must be byte-equal — the snapshot codec is
         // deterministic.

@@ -25,13 +25,14 @@ use comsig_apps::stream::{SketchMasquerade, StreamDetection, StreamingMasquerade
 use comsig_core::distance::BatchDistance;
 use comsig_core::persist::{self, Enc, Fnv};
 use comsig_core::pipeline::DeltaScheme;
-use comsig_core::{Signature, SignatureSet, TierMemory};
+use comsig_core::{Signature, SignatureSet, SignatureTier, TierMemory};
 use comsig_eval::ann::SubjectMatcher;
 use comsig_eval::index::MatchWorkspace;
 use comsig_eval::ranking::Ranking;
 use comsig_graph::{
     CommGraph, EdgeEvent, Interner, NodeId, ShardPlan, SlidingWindower, WindowDelta,
 };
+use comsig_sketch::tier::SketchTier;
 
 use crate::config::{ServeConfig, ServeError};
 
@@ -74,22 +75,30 @@ pub enum TierDetector<'a> {
 }
 
 impl<'a> TierDetector<'a> {
+    fn tier(&self) -> &dyn SignatureTier {
+        match self {
+            TierDetector::Exact(det) => det.tier(),
+            TierDetector::Sketch(det) => det.tier(),
+        }
+    }
+
+    fn matcher(&self) -> &dyn SubjectMatcher {
+        match self {
+            TierDetector::Exact(det) => det.matcher(),
+            TierDetector::Sketch(det) => det.matcher(),
+        }
+    }
+
     /// The tier's stable name (`"exact"` / `"sketch"`).
     #[must_use]
     pub fn tier_name(&self) -> &'static str {
-        match self {
-            TierDetector::Exact(_) => "exact",
-            TierDetector::Sketch(_) => "sketch",
-        }
+        self.tier().tier_name()
     }
 
     /// The current window's signatures.
     #[must_use]
     pub fn signatures(&self) -> &SignatureSet {
-        match self {
-            TierDetector::Exact(det) => det.signatures(),
-            TierDetector::Sketch(det) => det.signatures(),
-        }
+        self.tier().signatures()
     }
 
     /// The previous window's signatures (the double buffer's back side).
@@ -123,10 +132,7 @@ impl<'a> TierDetector<'a> {
     /// count — the service's memory story, surfaced by `status`.
     #[must_use]
     pub fn memory(&self) -> (TierMemory, usize) {
-        match self {
-            TierDetector::Exact(det) => (det.tier_memory(), det.index().memory_entries()),
-            TierDetector::Sketch(det) => (det.tier_memory(), det.matcher().memory_entries()),
-        }
+        (self.tier().memory(), self.matcher().memory_entries())
     }
 
     /// Advances one window on whichever tier is live.
@@ -147,23 +153,10 @@ impl<'a> TierDetector<'a> {
     /// candidates at distance 1.0 (the documented one-sided contract).
     #[must_use]
     pub fn rank_top_l(&self, dist: &dyn BatchDistance, sig: &Signature, top: usize) -> Ranking {
-        match self {
-            TierDetector::Exact(det) => {
-                det.index()
-                    .rank_top_l_with(dist, sig, top, &mut MatchWorkspace::new())
-            }
-            TierDetector::Sketch(det) => {
-                let mut entries = Vec::new();
-                det.matcher().rank_top_l_into(
-                    dist,
-                    sig,
-                    top,
-                    &mut MatchWorkspace::new(),
-                    &mut entries,
-                );
-                Ranking::from_sorted(entries)
-            }
-        }
+        let mut entries = Vec::new();
+        self.matcher()
+            .rank_top_l_into(dist, sig, top, &mut MatchWorkspace::new(), &mut entries);
+        Ranking::from_sorted(entries)
     }
 }
 
@@ -216,7 +209,7 @@ impl<'a> LiveState<'a> {
     ///
     /// # Errors
     /// [`ServeError::Config`] when the sketch tier is configured with a
-    /// non-sketchable scheme.
+    /// non-sketchable scheme, or with a zero `k`, sketch or banding size.
     pub fn genesis(
         scheme: &'a dyn DeltaScheme,
         config: &ServeConfig,
@@ -225,8 +218,12 @@ impl<'a> LiveState<'a> {
     ) -> Result<Self, ServeError> {
         let windower = SlidingWindower::new(config.start, config.width, config.slide);
         let det = if config.is_sketch() {
+            let scheme = config.sketch_scheme()?;
+            SketchTier::check_sizes(&config.sketch, config.k)
+                .and_then(|()| config.ann.check_sizes())
+                .map_err(|e| ServeError::Config(format!("sketch tier: {e}")))?;
             TierDetector::Sketch(Box::new(SketchMasquerade::new_sketch(
-                config.sketch_scheme()?,
+                scheme,
                 config.sketch,
                 &subjects,
                 interner.len(),
@@ -301,12 +298,12 @@ impl<'a> LiveState<'a> {
         let mut h = Fnv::new();
         match &self.det {
             TierDetector::Exact(det) => {
-                persist::encode_graph(&mut enc, det.graph());
-                persist::encode_signature_set(&mut enc, det.signatures());
+                persist::encode_graph(&mut enc, det.tier().graph());
+                persist::encode_signature_set(&mut enc, det.tier().signatures());
                 persist::encode_signature_set(&mut enc, det.prev_signatures());
                 persist::encode_windower(&mut enc, &self.windower.export_state());
                 h.write(&enc.into_bytes());
-                h.write_u64(det.index().layout_digest());
+                h.write_u64(det.matcher().layout_digest());
             }
             TierDetector::Sketch(det) => {
                 det.tier().encode_state(&mut enc);

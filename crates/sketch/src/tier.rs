@@ -127,6 +127,24 @@ impl SketchTier {
         }
     }
 
+    /// Checks the sizes [`SketchTier::new`] requires to be positive: `k`,
+    /// the Count-Min width and depth, and the candidate budget.
+    ///
+    /// # Errors
+    /// Names the first size that is zero.
+    pub fn check_sizes(cfg: &StreamConfig, k: usize) -> Result<(), String> {
+        let sizes = [
+            ("k", k),
+            ("cm_width", cfg.cm_width),
+            ("cm_depth", cfg.cm_depth),
+            ("candidate_budget", cfg.candidate_budget),
+        ];
+        match sizes.iter().find(|&&(_, size)| size == 0) {
+            Some((name, _)) => Err(format!("{name} must be positive")),
+            None => Ok(()),
+        }
+    }
+
     /// The approximated scheme.
     pub fn scheme(&self) -> SketchScheme {
         self.scheme
@@ -266,11 +284,6 @@ impl SketchTier {
             indeg_cells: dec.u64("sketch.indeg_cells")? as usize,
             indeg_depth: dec.u64("sketch.indeg_depth")? as usize,
         };
-        if cfg.cm_width == 0 || cfg.cm_depth == 0 || cfg.candidate_budget == 0 {
-            return Err(CodecError::from(
-                "sketch.config: zero sketch dimension".to_string(),
-            ));
-        }
         let scheme = match dec.u8("sketch.scheme")? {
             0 => SketchScheme::TopTalkers,
             1 => SketchScheme::UnexpectedTalkers,
@@ -281,6 +294,8 @@ impl SketchTier {
             }
         };
         let k = dec.u64("sketch.k")? as usize;
+        SketchTier::check_sizes(&cfg, k)
+            .map_err(|e| CodecError::from(format!("sketch.config: {e}")))?;
         let num_nodes = dec.u64("sketch.num_nodes")? as usize;
         let windows = dec.u64("sketch.windows")?;
         let dropped_changes = dec.u64("sketch.dropped")?;
