@@ -54,10 +54,12 @@ fn config() -> ServeConfig {
 }
 
 /// The sketch-tier twin of [`config`]: same windowing, but signatures
-/// come from a [`SketchTier`](comsig_sketch::tier::SketchTier) whose
-/// state is snapshotted and WAL-replayed instead of the exact CSR.
-fn sketch_config() -> ServeConfig {
+/// of `scheme_spec` (`tt` or `ut`) come from a
+/// [`SketchTier`](comsig_sketch::tier::SketchTier) whose state is
+/// snapshotted and WAL-replayed instead of the exact CSR.
+fn sketch_config(scheme_spec: &str) -> ServeConfig {
     ServeConfig {
+        scheme_spec: scheme_spec.to_owned(),
         tier: TierSpec::Sketch,
         sketch: StreamConfig {
             cm_width: 64,
@@ -190,19 +192,30 @@ pub fn serve_kill_and_resume(seed: u64) -> Result<String, String> {
     ))
 }
 
-/// The sketch-tier twin of [`serve_kill_and_resume`]: the snapshot and
-/// WAL now carry the full `SemiStream` sketch state (per-source CMs,
-/// candidate maps, FM bitmaps). Kill between windows, reopen, finish —
-/// the final digest must equal the uninterrupted sketch-tier run's.
+/// The sketch-tier twin of [`serve_kill_and_resume`] for TT: the
+/// snapshot and WAL carry the per-source CMs and candidate maps. Kill
+/// between windows, reopen, finish — the final digest must equal the
+/// uninterrupted sketch-tier run's.
 pub fn serve_sketch_kill_and_resume(seed: u64) -> Result<String, String> {
+    sketch_kill_and_resume(seed, "tt")
+}
+
+/// [`serve_sketch_kill_and_resume`] for UT, the one sketch scheme that
+/// also persists per-destination FM bitmaps and rebuilds its tracker
+/// map on recovery.
+pub fn serve_sketch_ut_kill_and_resume(seed: u64) -> Result<String, String> {
+    sketch_kill_and_resume(seed, "ut")
+}
+
+fn sketch_kill_and_resume(seed: u64, scheme_spec: &str) -> Result<String, String> {
     let scheme = TopTalkers;
     let dist = SHel;
     let (_, _, lines) = seed_stream(seed);
 
     let want = {
-        let dir = ScratchDir::new("sketch-uninterrupted", seed);
+        let dir = ScratchDir::new(&format!("sketch-{scheme_spec}-uninterrupted"), seed);
         let (mut state, _) =
-            open_with(&scheme, &dist, sketch_config(), dir.path(), seed).map_err(err)?;
+            open_with(&scheme, &dist, sketch_config(scheme_spec), dir.path(), seed).map_err(err)?;
         let mut digest = 0;
         for w in 0..4 {
             let lo = lines.len() * w / 4;
@@ -212,10 +225,10 @@ pub fn serve_sketch_kill_and_resume(seed: u64) -> Result<String, String> {
         digest
     };
 
-    let dir = ScratchDir::new("sketch-kill-resume", seed);
+    let dir = ScratchDir::new(&format!("sketch-{scheme_spec}-kill-resume"), seed);
     {
         let (mut state, _) =
-            open_with(&scheme, &dist, sketch_config(), dir.path(), seed).map_err(err)?;
+            open_with(&scheme, &dist, sketch_config(scheme_spec), dir.path(), seed).map_err(err)?;
         for w in 0..2 {
             let lo = lines.len() * w / 4;
             let hi = lines.len() * (w + 1) / 4;
@@ -224,7 +237,7 @@ pub fn serve_sketch_kill_and_resume(seed: u64) -> Result<String, String> {
         // SIGKILL: the sketch state is dropped mid-stream, no snapshot.
     }
     let (mut state, recovery) =
-        open_with(&scheme, &dist, sketch_config(), dir.path(), seed).map_err(err)?;
+        open_with(&scheme, &dist, sketch_config(scheme_spec), dir.path(), seed).map_err(err)?;
     if recovery.replayed_windows != 2 {
         return Err(format!(
             "expected 2 replayed windows, got {}",
@@ -239,11 +252,11 @@ pub fn serve_sketch_kill_and_resume(seed: u64) -> Result<String, String> {
     }
     if digest != want {
         return Err(format!(
-            "resumed sketch digest {digest:016x} != uninterrupted {want:016x}"
+            "resumed {scheme_spec} sketch digest {digest:016x} != uninterrupted {want:016x}"
         ));
     }
     Ok(format!(
-        "sketch tier killed after window 2 recovered; final digest {digest:016x} matches"
+        "{scheme_spec} sketch tier killed after window 2 recovered; final digest {digest:016x} matches"
     ))
 }
 

@@ -231,6 +231,11 @@ pub fn all() -> Vec<Scenario> {
             "a sketch-tier service killed between windows recovers its sketch state bit-identically",
             crate::durability::serve_sketch_kill_and_resume,
         ),
+        sc(
+            "serve-sketch-ut-kill-and-resume",
+            "a UT sketch-tier service killed between windows recovers its FM bitmaps and trackers bit-identically",
+            crate::durability::serve_sketch_ut_kill_and_resume,
+        ),
     ]
 }
 

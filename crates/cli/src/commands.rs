@@ -49,7 +49,7 @@ commands:
                       output is bit-identical for every N;
                       --tier exact|sketch picks the maintenance tier:
                       sketch folds deltas into bounded per-node sketches
-                      [tt|ut only] and fronts matching with banded LSH —
+                      [tt|ut|ut:ratio only] and fronts matching with LSH —
                       --cm-width/--cm-depth/--budget/--fm/--indeg-cells/
                       --indeg-depth size the sketches, --bands/--rows
                       tune LSH recall, --sketch-seed seeds both)
@@ -225,8 +225,8 @@ struct TierFlags {
     ann: AnnConfig,
 }
 
-/// Parses `--tier` and the sketch flags. The sketch tier covers only
-/// tt|ut schemes and needs `k` and every sketch and banding size to be
+/// Parses `--tier` and the sketch flags. The sketch tier covers only the
+/// tt, ut and ut:ratio specs and needs `k` and every sketch and banding size to be
 /// positive (its constructors panic on a zero size), so both are usage
 /// errors here, before anything is built or stamped.
 fn tier_flags(parsed: &Parsed, scheme_spec: &str, k: usize) -> Result<TierFlags, CliError> {
@@ -237,7 +237,7 @@ fn tier_flags(parsed: &Parsed, scheme_spec: &str, k: usize) -> Result<TierFlags,
         TierSpec::Exact => None,
         TierSpec::Sketch => Some(SketchScheme::parse(scheme_spec).ok_or_else(|| {
             CliError::Usage(format!(
-                "--tier sketch supports tt|ut schemes, not `{scheme_spec}`"
+                "--tier sketch supports the tt, ut and ut:ratio schemes, not `{scheme_spec}`"
             ))
         })?),
     };
@@ -1346,6 +1346,33 @@ mod tests {
             ]),
             Err(CliError::Usage(_))
         ));
+        // UT scalings and parameterised TT are valid exact-tier schemes
+        // that the sketches do not compute: a usage error on the sketch
+        // tier, never a plain-ratio run under another scheme's header.
+        for spec in ["ut:tfidf", "ut:log", "tt:bogus"] {
+            assert!(
+                matches!(
+                    run_to_string(&[
+                        "stream", "--input", &path, "--tier", "sketch", "--scheme", spec
+                    ]),
+                    Err(CliError::Usage(_))
+                ),
+                "{spec}"
+            );
+        }
+        let ratio = [
+            "stream",
+            "--input",
+            &path,
+            "--window-width",
+            "10",
+            "--tier",
+            "sketch",
+        ];
+        assert_eq!(
+            run_to_string(&[&ratio[..], &["--scheme", "ut:ratio"]].concat()).unwrap(),
+            run_to_string(&[&ratio[..], &["--scheme", "ut"]].concat()).unwrap()
+        );
         assert!(matches!(
             run_to_string(&["stream", "--input", &path, "--tier", "wat"]),
             Err(CliError::Usage(_))

@@ -43,7 +43,10 @@ fn parse_concrete(spec: &str) -> Result<ConcreteScheme, CliError> {
         None => (spec, ""),
     };
     match head {
-        "tt" => Ok(ConcreteScheme::Tt(TopTalkers)),
+        "tt" if rest.is_empty() => Ok(ConcreteScheme::Tt(TopTalkers)),
+        "tt" => Err(CliError::Usage(format!(
+            "tt takes no options, got `{rest}`"
+        ))),
         "ut" => match rest {
             "" | "ratio" => Ok(ConcreteScheme::Ut(UnexpectedTalkers::new())),
             "tfidf" => Ok(ConcreteScheme::Ut(UnexpectedTalkers::with_scaling(
@@ -57,26 +60,41 @@ fn parse_concrete(spec: &str) -> Result<ConcreteScheme, CliError> {
             ))),
         },
         "rwr" => {
-            let opts = parse_kv(rest)?;
+            let opts = parse_kv(rest, &["h", "c", "undirected"])?;
             let c = get_f64(&opts, "c")?.unwrap_or(0.1);
-            let mut scheme = match get_f64(&opts, "h")? {
-                Some(h) if h >= 1.0 => Rwr::truncated(c, h as u32),
-                Some(h) => {
-                    return Err(CliError::Usage(format!("h must be >= 1, got {h}")));
-                }
+            if !(0.0..=1.0).contains(&c) {
+                return Err(CliError::Usage(format!("c must be in [0, 1], got {c}")));
+            }
+            let mut scheme = match opts.get("h") {
                 None => Rwr::full(c),
+                Some(h) => match h.parse::<u32>() {
+                    Ok(hops) if hops >= 1 => Rwr::truncated(c, hops),
+                    _ => {
+                        return Err(CliError::Usage(format!(
+                            "h must be an integer >= 1, got `{h}`"
+                        )))
+                    }
+                },
             };
-            if opts.contains_key("undirected") {
+            if is_set(&opts, "undirected")? {
                 scheme = scheme.undirected();
             }
             Ok(ConcreteScheme::Rwr(scheme))
         }
         "push" => {
-            let opts = parse_kv(rest)?;
+            let opts = parse_kv(rest, &["c", "eps", "undirected"])?;
             let c = get_f64(&opts, "c")?.unwrap_or(0.1);
+            if !(c > 0.0 && c <= 1.0) {
+                return Err(CliError::Usage(format!("c must be in (0, 1], got {c}")));
+            }
             let eps = get_f64(&opts, "eps")?.unwrap_or(1e-4);
+            if !(eps > 0.0 && eps.is_finite()) {
+                return Err(CliError::Usage(format!(
+                    "eps must be positive and finite, got {eps}"
+                )));
+            }
             let mut scheme = PushRwr::new(c, eps);
-            if opts.contains_key("undirected") {
+            if is_set(&opts, "undirected")? {
                 scheme = scheme.undirected();
             }
             Ok(ConcreteScheme::Push(scheme))
@@ -90,9 +108,13 @@ fn parse_concrete(spec: &str) -> Result<ConcreteScheme, CliError> {
 /// Parses a scheme specification:
 ///
 /// * `tt`
-/// * `ut`, `ut:tfidf`, `ut:log`
+/// * `ut`, `ut:ratio`, `ut:tfidf`, `ut:log`
 /// * `rwr:h=3,c=0.1[,undirected]` (omit `h` for the steady state)
 /// * `push:c=0.1,eps=1e-4[,undirected]`
+///
+/// Every option is checked: an unknown or repeated key, `c` outside
+/// `[0, 1]` (`(0, 1]` for push), a non-positive `eps` and an `h` that is
+/// not an integer `≥ 1` are usage errors.
 pub fn parse_scheme(spec: &str) -> Result<Box<dyn SignatureScheme>, CliError> {
     parse_concrete(spec).map(ConcreteScheme::into_scheme)
 }
@@ -119,22 +141,40 @@ pub fn parse_distance(name: &str) -> Result<Box<dyn BatchDistance>, CliError> {
     }
 }
 
-fn parse_kv(rest: &str) -> Result<FxHashMap<String, String>, CliError> {
+/// Splits `key=value` / bare-`key` options. A key outside `known` or
+/// given twice is a usage error, so a typo never falls back to a
+/// default silently.
+fn parse_kv(rest: &str, known: &[&str]) -> Result<FxHashMap<String, String>, CliError> {
     let mut map = FxHashMap::default();
     if rest.is_empty() {
         return Ok(map);
     }
     for part in rest.split(',') {
-        match part.split_once('=') {
-            Some((k, v)) => {
-                map.insert(k.trim().to_owned(), v.trim().to_owned());
-            }
-            None => {
-                map.insert(part.trim().to_owned(), String::new());
-            }
+        let (k, v) = part.split_once('=').unwrap_or((part, ""));
+        let k = k.trim();
+        if !known.contains(&k) {
+            return Err(CliError::Usage(format!(
+                "unknown scheme option `{k}` ({})",
+                known.join("|")
+            )));
+        }
+        if map.insert(k.to_owned(), v.trim().to_owned()).is_some() {
+            return Err(CliError::Usage(format!("scheme option `{k}` given twice")));
         }
     }
     Ok(map)
+}
+
+/// Whether a bare flag option (such as `undirected`) is present; a flag
+/// given a value is a usage error rather than a guess at its meaning.
+fn is_set(opts: &FxHashMap<String, String>, key: &str) -> Result<bool, CliError> {
+    match opts.get(key) {
+        None => Ok(false),
+        Some(v) if v.is_empty() => Ok(true),
+        Some(v) => Err(CliError::Usage(format!(
+            "`{key}` takes no value, got `{key}={v}`"
+        ))),
+    }
 }
 
 fn get_f64(opts: &FxHashMap<String, String>, key: &str) -> Result<Option<f64>, CliError> {
@@ -255,6 +295,69 @@ mod tests {
         assert!(parse_scheme("rwr:h=abc").is_err());
         assert!(parse_scheme("rwr:h=0").is_err());
         assert!(parse_distance("nope").is_err());
+    }
+
+    /// Out-of-range parameters, unknown or repeated option keys and a
+    /// non-integer `h` are usage errors — never a constructor panic and
+    /// never a silently different scheme.
+    #[test]
+    fn invalid_scheme_options_are_usage_errors() {
+        for spec in [
+            "rwr:h=3,c=1.5",
+            "rwr:c=-0.1",
+            "rwr:c=nan",
+            "rwr:c=inf",
+            "rwr:h=3,undirectd",
+            "rwr:h=2.5",
+            "rwr:h=-1",
+            "rwr:h=",
+            "rwr:h=3,h=4",
+            "rwr:h=3,undirected=no",
+            "rwr:h=3,eps=1e-4",
+            "push:c=2",
+            "push:c=0",
+            "push:c=nan",
+            "push:c=0.1,eps=0",
+            "push:eps=-1e-4",
+            "push:eps=inf",
+            "push:h=3",
+            "push:undirectd",
+            "tt:bogus",
+        ] {
+            for result in [
+                parse_scheme(spec).map(|s| s.name()),
+                parse_delta_scheme(spec).map(|s| s.name()),
+            ] {
+                assert!(
+                    matches!(result, Err(CliError::Usage(_))),
+                    "{spec} was accepted as {result:?}"
+                );
+            }
+        }
+    }
+
+    /// The accepted spellings keep their exact parse.
+    #[test]
+    fn valid_scheme_options_parse_as_before() {
+        let Ok(ConcreteScheme::Rwr(rwr)) = parse_concrete("rwr:h=3,c=0.1,undirected") else {
+            panic!("rwr:h=3,c=0.1,undirected must parse as RWR");
+        };
+        assert_eq!(rwr.config.hops, Some(3));
+        assert_eq!(rwr.config.restart, 0.1);
+        assert_eq!(
+            rwr.config.direction,
+            comsig_core::scheme::WalkDirection::Undirected
+        );
+        for (spec, name) in [
+            ("rwr:h=3,c=0.1,undirected", "RWR^3_0.1"),
+            ("rwr: h = 3 , c = 0.1 ", "RWR^3_0.1"),
+            ("rwr:c=0", "RWR_0"),
+            ("rwr:c=1,h=1", "RWR^1_1"),
+            ("rwr", "RWR_0.1"),
+            ("push:c=1,eps=1e-3,undirected", "PushRWR_1~1e-3"),
+        ] {
+            assert_eq!(parse_scheme(spec).unwrap().name(), name, "{spec}");
+        }
     }
 
     #[test]

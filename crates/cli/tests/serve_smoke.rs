@@ -182,3 +182,22 @@ fn sketch_tier_kill_and_resume_transcripts_are_byte_identical() {
         &["--tier", "sketch", "--cm-width", "64", "--budget", "16"],
     );
 }
+
+/// UT is the sketch scheme that persists per-destination FM bitmaps and
+/// rebuilds its tracker map on recovery, so it gets its own crash run.
+#[test]
+fn sketch_tier_ut_kill_and_resume_transcripts_are_byte_identical() {
+    kill_and_resume_case(
+        "kill-resume-sketch-ut",
+        &[
+            "--tier",
+            "sketch",
+            "--scheme",
+            "ut",
+            "--cm-width",
+            "64",
+            "--budget",
+            "16",
+        ],
+    );
+}

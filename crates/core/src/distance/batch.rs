@@ -129,8 +129,8 @@ pub trait BatchDistance: SignatureDistance {
 
     /// Combines the precomputed scalars of both signatures with the
     /// intersection sums into the distance. Must not be called for
-    /// empty signatures (the [`empty_rule`](super::empty_rule) runs
-    /// first on both matching paths).
+    /// empty signatures (the shared empty-signature rule runs first on
+    /// both matching paths).
     #[must_use]
     fn finish(&self, q: &SigScalars, c: &SigScalars, inter: &InterAcc) -> f64;
 

@@ -287,8 +287,9 @@ impl CommGraph {
     /// `(C[v,u] + C[u,v]) / (Σ C[v,·] + Σ C[·,v])`, in ascending id
     /// order. Returns `None` if `v` has no incident edges.
     ///
-    /// Reads the merged, pre-normalised CSR built lazily by
-    /// [`Self::undirected_view`]; an undirected walk step over this row
+    /// Reads the merged, pre-normalised CSR built on first undirected
+    /// access (or eagerly by [`Self::warm_undirected_view`]); an
+    /// undirected walk step over this row
     /// touches each neighbour exactly once instead of iterating the out-
     /// and in-rows separately and re-dividing by the weight sum.
     pub fn undirected_transition_row(

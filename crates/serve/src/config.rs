@@ -123,11 +123,13 @@ impl ServeConfig {
     ///
     /// # Errors
     /// [`ServeError::Config`] when the tier is sketch but the scheme is
-    /// not semi-streamable (RWR needs the materialised graph).
+    /// not one the sketches compute: only `tt`, `ut` and `ut:ratio` are
+    /// (RWR needs the materialised graph; the sketches have no UT
+    /// scaling variants).
     pub fn sketch_scheme(&self) -> Result<SketchScheme, ServeError> {
         SketchScheme::parse(&self.scheme_spec).ok_or_else(|| {
             ServeError::Config(format!(
-                "the sketch tier supports tt|ut schemes, not `{}`",
+                "the sketch tier supports the tt, ut and ut:ratio schemes, not `{}`",
                 self.scheme_spec
             ))
         })

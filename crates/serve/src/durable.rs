@@ -287,7 +287,8 @@ impl<'a> DurableState<'a> {
     }
 
     /// Ingests event lines (`time src dst [weight]`, the standard event
-    /// format) under the configured [`IngestPolicy`]: malformed records
+    /// format) under the configured
+    /// [`IngestPolicy`](comsig_graph::IngestPolicy): malformed records
     /// quarantine without killing the daemon, labels outside the frozen
     /// node space are dropped and counted, and the surviving batch is
     /// logged + fsynced before it enters the windower.

@@ -426,17 +426,37 @@ mod tests {
     #[test]
     fn sketch_genesis_rejects_unsketchable_scheme() {
         let scheme = TopTalkers;
-        let config = ServeConfig {
-            scheme_spec: "rwr:h=2,c=0.1".to_owned(),
-            tier: TierSpec::Sketch,
-            ..ServeConfig::default()
-        };
-        let (interner, events) = seeded();
-        let subjects = subject_sources(&events);
-        assert!(matches!(
-            LiveState::genesis(&scheme, &config, interner, subjects),
-            Err(ServeError::Config(_))
-        ));
+        // RWR needs the graph; the UT scalings and parameterised TT are
+        // schemes the sketches would silently compute as plain TT/UT.
+        for spec in ["rwr:h=2,c=0.1", "ut:tfidf", "ut:log", "tt:bogus"] {
+            let config = ServeConfig {
+                scheme_spec: spec.to_owned(),
+                tier: TierSpec::Sketch,
+                ..ServeConfig::default()
+            };
+            let (interner, events) = seeded();
+            let subjects = subject_sources(&events);
+            assert!(
+                matches!(
+                    LiveState::genesis(&scheme, &config, interner, subjects),
+                    Err(ServeError::Config(_))
+                ),
+                "{spec}"
+            );
+        }
+        for spec in ["tt", "ut", "ut:ratio"] {
+            let config = ServeConfig {
+                scheme_spec: spec.to_owned(),
+                tier: TierSpec::Sketch,
+                ..ServeConfig::default()
+            };
+            let (interner, events) = seeded();
+            let subjects = subject_sources(&events);
+            assert!(
+                LiveState::genesis(&scheme, &config, interner, subjects).is_ok(),
+                "{spec}"
+            );
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //!   estimating the in-degree `|I(j)|` — or, with
 //!   [`StreamConfig::indeg_cells`] set, a fixed-size [`DistinctCm`]
 //!   table whose footprint is independent of the destination universe.
+//!   Only UT reads it, so a turnstile stream built for TT keeps none.
 //!
 //! From this state, approximate Top Talkers signatures (`ĉ[i,j]`
 //! normalised by `Σ ĉ`) and approximate Unexpected Talkers signatures
@@ -22,15 +23,16 @@
 //! [`observe`](SemiStream::observe) is the paper's cash-register model:
 //! weights accumulate, nothing retracts, and the per-source CM uses
 //! conservative update for the tightest estimates. The **turnstile**
-//! variant ([`SemiStream::turnstile`] + [`apply_change`]
-//! (SemiStream::apply_change)) instead consumes [`WindowDelta`]-style
-//! `(old, new)` aggregate transitions, so a sliding window's expiries
-//! become signed retractions. Retraction forces the linear CM variant —
-//! see [`CountMinSketch::update_signed`] for why the no-underestimate
-//! guarantee survives — and the in-degree sketches stay insert-only:
-//! `|Î(j)|` counts distinct sources over the stream's whole horizon, a
-//! documented one-sided over-estimate of the windowed in-degree (popular
-//! destinations stay discounted; novel ones are never inflated).
+//! variant ([`SemiStream::turnstile`] +
+//! [`apply_change`](SemiStream::apply_change)) instead consumes
+//! [`WindowDelta`]-style `(old, new)` aggregate transitions, so a sliding
+//! window's expiries become signed retractions. Retraction forces the
+//! linear CM variant — see [`CountMinSketch::update_signed`] for why the
+//! no-underestimate guarantee survives — and the in-degree sketches stay
+//! insert-only: `|Î(j)|` counts distinct sources over the stream's whole
+//! horizon, a documented one-sided over-estimate of the windowed
+//! in-degree (popular destinations stay discounted; novel ones are never
+//! inflated).
 //!
 //! [`WindowDelta`]: comsig_graph::WindowDelta
 
@@ -43,6 +45,7 @@ use comsig_graph::{CommGraph, NodeId};
 use crate::cm::CountMinSketch;
 use crate::distinct::DistinctCm;
 use crate::fm::FmSketch;
+use crate::tier::SketchScheme;
 
 /// Sizing of the per-node sketches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -146,15 +149,11 @@ impl InDegree {
     }
 }
 
-/// One-pass signature extraction state over a communication stream.
+/// The state only UT signatures read: the in-degree estimator and the
+/// sources whose UT signatures a moved estimate touches.
 #[derive(Debug, Clone)]
-pub struct SemiStream {
-    pub(crate) cfg: StreamConfig,
-    pub(crate) sources: FxHashMap<NodeId, SourceState>,
-    pub(crate) in_degree: InDegree,
-    /// Whether this stream consumes signed `(old, new)` transitions
-    /// (linear CMs) or cash-register observations (conservative CMs).
-    pub(crate) turnstile: bool,
+pub(crate) struct InDegreeState {
+    pub(crate) estimator: InDegree,
     /// Reverse candidate map `dst → sources currently tracking dst`,
     /// maintained only in turnstile mode: when `|Î(dst)|` moves, exactly
     /// these sources' UT signatures may change. Bounded by the total
@@ -162,10 +161,29 @@ pub struct SemiStream {
     pub(crate) trackers: FxHashMap<NodeId, FxHashSet<NodeId>>,
 }
 
+impl InDegreeState {
+    fn tracker_entries(&self) -> usize {
+        self.trackers.values().map(FxHashSet::len).sum()
+    }
+}
+
+/// One-pass signature extraction state over a communication stream.
+#[derive(Debug, Clone)]
+pub struct SemiStream {
+    pub(crate) cfg: StreamConfig,
+    pub(crate) sources: FxHashMap<NodeId, SourceState>,
+    /// `None` on a turnstile stream built for TT, which never reads it.
+    pub(crate) in_degree: Option<InDegreeState>,
+    /// Whether this stream consumes signed `(old, new)` transitions
+    /// (linear CMs) or cash-register observations (conservative CMs).
+    pub(crate) turnstile: bool,
+}
+
 impl SemiStream {
-    /// Creates empty cash-register state (weights only accumulate).
+    /// Creates empty cash-register state (weights only accumulate). It
+    /// keeps in-degree estimates, so it serves both TT and UT.
     pub fn new(cfg: StreamConfig) -> Self {
-        Self::with_mode(cfg, false)
+        Self::with_mode(cfg, false, true)
     }
 
     /// The sketch sizing this stream was created with.
@@ -175,21 +193,24 @@ impl SemiStream {
 
     /// Creates empty turnstile state for
     /// [`apply_change`](Self::apply_change): per-source CMs are linear so
-    /// window expiries can retract weight.
-    pub fn turnstile(cfg: StreamConfig) -> Self {
-        Self::with_mode(cfg, true)
+    /// window expiries can retract weight. Only a UT stream keeps the
+    /// in-degree estimator and the tracker map; a TT stream holds neither.
+    pub fn turnstile(cfg: StreamConfig, scheme: SketchScheme) -> Self {
+        Self::with_mode(cfg, true, scheme == SketchScheme::UnexpectedTalkers)
     }
 
-    fn with_mode(cfg: StreamConfig, turnstile: bool) -> Self {
+    fn with_mode(cfg: StreamConfig, turnstile: bool, in_degree: bool) -> Self {
         assert!(
             cfg.candidate_budget > 0,
             "candidate budget must be positive"
         );
         SemiStream {
             sources: FxHashMap::default(),
-            in_degree: InDegree::from_config(&cfg),
+            in_degree: in_degree.then(|| InDegreeState {
+                estimator: InDegree::from_config(&cfg),
+                trackers: FxHashMap::default(),
+            }),
             turnstile,
-            trackers: FxHashMap::default(),
             cfg,
         }
     }
@@ -241,14 +262,17 @@ impl SemiStream {
             }
         }
 
-        self.in_degree.insert(dst, src, &cfg);
+        if let Some(in_degree) = &mut self.in_degree {
+            in_degree.estimator.insert(dst, src, &cfg);
+        }
     }
 
     /// Applies one aggregated-edge transition `src → dst: old → new`
     /// (turnstile model, the [`WindowDelta`](comsig_graph::WindowDelta)
     /// contract: `None` means absent). Returns whether the in-degree
     /// estimate of `dst` changed, i.e. whether sources *tracking* `dst`
-    /// may need their UT signatures re-derived.
+    /// may need their UT signatures re-derived — always `false` on a TT
+    /// stream, which keeps no estimate.
     ///
     /// The caller is responsible for weight validation — this is the
     /// trusted hot path; `SketchTier` degrades subjects with poisoned
@@ -280,29 +304,38 @@ impl SemiStream {
         // drift from ever producing a negative normaliser.
         state.total = (state.total + delta).max(0.0);
         state.cm.update_signed(dst.raw() as u64, delta);
-        if new.is_some() {
-            let est = state.cm.query(dst.raw() as u64).max(0.0);
-            if state.candidates.len() < cfg.candidate_budget || state.candidates.contains_key(&dst)
-            {
-                if state.candidates.insert(dst, est).is_none() {
-                    self.trackers.entry(dst).or_default().insert(src);
-                }
-            } else if let Some((min_key, min_est)) = weakest_candidate(&state.candidates) {
-                if est > min_est {
-                    state.candidates.remove(&min_key);
-                    untrack(&mut self.trackers, min_key, src);
-                    state.candidates.insert(dst, est);
-                    self.trackers.entry(dst).or_default().insert(src);
-                }
-            }
-            self.in_degree.insert(dst, src, &cfg)
-        } else {
+        if new.is_none() {
             if state.candidates.remove(&dst).is_some() {
-                untrack(&mut self.trackers, dst, src);
+                if let Some(in_degree) = &mut self.in_degree {
+                    untrack(&mut in_degree.trackers, dst, src);
+                }
             }
             // Retraction leaves |Î(dst)| at its horizon value.
-            false
+            return false;
         }
+        let est = state.cm.query(dst.raw() as u64).max(0.0);
+        let mut joined = false;
+        let mut evicted = None;
+        if state.candidates.len() < cfg.candidate_budget || state.candidates.contains_key(&dst) {
+            joined = state.candidates.insert(dst, est).is_none();
+        } else if let Some((min_key, min_est)) = weakest_candidate(&state.candidates) {
+            if est > min_est {
+                state.candidates.remove(&min_key);
+                state.candidates.insert(dst, est);
+                joined = true;
+                evicted = Some(min_key);
+            }
+        }
+        let Some(in_degree) = &mut self.in_degree else {
+            return false;
+        };
+        if let Some(min_key) = evicted {
+            untrack(&mut in_degree.trackers, min_key, src);
+        }
+        if joined {
+            in_degree.trackers.entry(dst).or_default().insert(src);
+        }
+        in_degree.estimator.insert(dst, src, &cfg)
     }
 
     /// Feeds every aggregated edge of a graph (useful for comparing the
@@ -313,15 +346,22 @@ impl SemiStream {
         }
     }
 
-    /// Estimated in-degree `|Î(j)|` of a destination.
-    pub fn estimated_in_degree(&self, j: NodeId) -> f64 {
-        self.in_degree.estimate(j)
+    /// Estimated in-degree `|Î(j)|` of a destination, or `None` on a
+    /// stream that keeps no in-degree state (a turnstile stream built for
+    /// TT).
+    pub fn estimated_in_degree(&self, j: NodeId) -> Option<f64> {
+        self.in_degree.as_ref().map(|s| s.estimator.estimate(j))
     }
 
-    /// The sources currently tracking `dst` as a candidate (turnstile
-    /// mode only; empty otherwise).
+    /// The sources currently tracking `dst` as a candidate (a turnstile
+    /// UT stream only; empty otherwise).
     pub fn trackers_of(&self, dst: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.trackers.get(&dst).into_iter().flatten().copied()
+        self.in_degree
+            .as_ref()
+            .and_then(|s| s.trackers.get(&dst))
+            .into_iter()
+            .flatten()
+            .copied()
     }
 
     /// Approximate Top Talkers signature of `v` (estimates normalised by
@@ -346,14 +386,22 @@ impl SemiStream {
     /// Approximate Unexpected Talkers signature of `v`:
     /// `ĉ[v,j] / |Î(j)|` over the tracked candidates (Definition 4 with
     /// both quantities estimated, as Section VI prescribes).
+    ///
+    /// # Panics
+    /// Panics on a stream that keeps no in-degree state (a turnstile
+    /// stream built for TT).
     pub fn ut_signature(&self, v: NodeId, k: usize) -> Signature {
+        assert!(
+            self.in_degree.is_some(),
+            "ut_signature() needs in-degree state; this turnstile stream was built for TT"
+        );
         let Some(state) = self.sources.get(&v) else {
             return Signature::empty();
         };
         Signature::top_k(
             v,
             state.candidates.iter().map(|(&dst, &est)| {
-                let indeg = self.estimated_in_degree(dst).max(1.0);
+                let indeg = self.estimated_in_degree(dst).unwrap_or(0.0).max(1.0);
                 (dst, est / indeg)
             }),
             k,
@@ -373,8 +421,10 @@ impl SemiStream {
             .values()
             .map(|s| s.cm.num_counters() + s.candidates.len())
             .sum();
-        let trackers: usize = self.trackers.values().map(FxHashSet::len).sum();
-        cm + self.in_degree.num_bitmaps() + trackers
+        cm + self
+            .in_degree
+            .as_ref()
+            .map_or(0, |s| s.estimator.num_bitmaps() + s.tracker_entries())
     }
 
     /// Approximate resident bytes of the sketch state (counters and
@@ -386,8 +436,9 @@ impl SemiStream {
             .values()
             .map(|s| s.cm.num_counters() * 8 + s.candidates.len() * 12)
             .sum();
-        let trackers: usize = self.trackers.values().map(|t| t.len() * 4).sum();
-        cm + self.in_degree.num_bitmaps() * 8 + trackers
+        cm + self.in_degree.as_ref().map_or(0, |s| {
+            s.estimator.num_bitmaps() * 8 + s.tracker_entries() * 4
+        })
     }
 }
 
@@ -486,9 +537,9 @@ mod tests {
         let g = sample_graph();
         let mut stream = SemiStream::new(StreamConfig::default());
         stream.observe_graph(&g);
-        let est = stream.estimated_in_degree(n(20));
+        let est = stream.estimated_in_degree(n(20)).expect("in-degree kept");
         assert!((1.0..=16.0).contains(&est), "hub estimate {est}");
-        assert_eq!(stream.estimated_in_degree(n(59)), 0.0);
+        assert_eq!(stream.estimated_in_degree(n(59)), Some(0.0));
     }
 
     #[test]
@@ -499,7 +550,7 @@ mod tests {
             ..StreamConfig::default()
         });
         stream.observe_graph(&g);
-        let est = stream.estimated_in_degree(n(20));
+        let est = stream.estimated_in_degree(n(20)).expect("in-degree kept");
         assert!((1.0..=16.0).contains(&est), "hub estimate {est}");
         // Fixed footprint: the bitmap count does not scale with the
         // destination universe.
@@ -548,7 +599,8 @@ mod tests {
         // Large sketches relative to the data → estimates are exact, so
         // the turnstile signatures must equal the exact TT signatures of
         // the *final* aggregate state.
-        let mut stream = SemiStream::turnstile(StreamConfig::default());
+        let mut stream =
+            SemiStream::turnstile(StreamConfig::default(), SketchScheme::UnexpectedTalkers);
         // Window 1: host 0 talks to 10 (w 5) and 11 (w 2).
         stream.apply_change(n(0), n(10), None, Some(5.0));
         stream.apply_change(n(0), n(11), None, Some(2.0));
@@ -573,10 +625,13 @@ mod tests {
 
     #[test]
     fn turnstile_trackers_follow_candidates() {
-        let mut stream = SemiStream::turnstile(StreamConfig {
-            candidate_budget: 2,
-            ..StreamConfig::default()
-        });
+        let mut stream = SemiStream::turnstile(
+            StreamConfig {
+                candidate_budget: 2,
+                ..StreamConfig::default()
+            },
+            SketchScheme::UnexpectedTalkers,
+        );
         stream.apply_change(n(0), n(10), None, Some(1.0));
         stream.apply_change(n(0), n(11), None, Some(2.0));
         assert_eq!(stream.trackers_of(n(10)).collect::<Vec<_>>(), vec![n(0)]);
@@ -591,19 +646,41 @@ mod tests {
 
     #[test]
     fn turnstile_in_degree_is_horizon_cumulative() {
-        let mut stream = SemiStream::turnstile(StreamConfig::default());
+        let mut stream =
+            SemiStream::turnstile(StreamConfig::default(), SketchScheme::UnexpectedTalkers);
         assert!(stream.apply_change(n(1), n(50), None, Some(1.0)));
         // Same source again: the distinct count is provably unchanged.
         assert!(!stream.apply_change(n(1), n(50), Some(1.0), Some(2.0)));
         // Retraction does not shrink the horizon count.
         stream.apply_change(n(1), n(50), Some(2.0), None);
-        assert!(stream.estimated_in_degree(n(50)) >= 1.0);
+        assert!(stream.estimated_in_degree(n(50)).expect("UT stream") >= 1.0);
+    }
+
+    #[test]
+    fn turnstile_tt_stream_keeps_no_in_degree_state() {
+        let mut stream = SemiStream::turnstile(StreamConfig::default(), SketchScheme::TopTalkers);
+        assert!(!stream.apply_change(n(1), n(50), None, Some(1.0)));
+        assert!(!stream.apply_change(n(2), n(50), None, Some(1.0)));
+        assert_eq!(stream.estimated_in_degree(n(50)), None);
+        assert_eq!(stream.trackers_of(n(50)).count(), 0);
+        let per_source = StreamConfig::default().cm_width * StreamConfig::default().cm_depth;
+        assert_eq!(stream.state_size(), 2 * (per_source + 1));
+        assert!(stream.tt_signature(n(1), 3).contains(n(50)));
+    }
+
+    #[test]
+    #[should_panic(expected = "in-degree")]
+    fn ut_signature_rejected_on_tt_turnstile_stream() {
+        let mut stream = SemiStream::turnstile(StreamConfig::default(), SketchScheme::TopTalkers);
+        stream.apply_change(n(1), n(50), None, Some(1.0));
+        let _ = stream.ut_signature(n(1), 3);
     }
 
     #[test]
     #[should_panic(expected = "turnstile")]
     fn observe_rejected_on_turnstile_stream() {
-        let mut stream = SemiStream::turnstile(StreamConfig::default());
+        let mut stream =
+            SemiStream::turnstile(StreamConfig::default(), SketchScheme::UnexpectedTalkers);
         stream.observe(n(1), n(2), 1.0);
     }
 

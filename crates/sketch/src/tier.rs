@@ -62,13 +62,15 @@ impl SketchScheme {
         }
     }
 
-    /// Parses a CLI scheme spec into the sketchable subset. Specs with
-    /// parameters (e.g. `ut:novel=0.5`) are sketchable by base name; RWR
-    /// variants are not.
+    /// Parses a CLI scheme spec into the sketchable subset: `tt`, `ut`
+    /// and its explicit default scaling `ut:ratio`. Every other spec —
+    /// RWR, the `ut:tfidf`/`ut:log` scalings the sketches do not compute,
+    /// or any parameterised `tt` — is `None`, never approximated by a
+    /// different scheme.
     pub fn parse(spec: &str) -> Option<Self> {
-        match spec.split(':').next().unwrap_or("") {
+        match spec {
             "tt" => Some(SketchScheme::TopTalkers),
-            "ut" => Some(SketchScheme::UnexpectedTalkers),
+            "ut" | "ut:ratio" => Some(SketchScheme::UnexpectedTalkers),
             _ => None,
         }
     }
@@ -118,7 +120,7 @@ impl SketchTier {
             scheme,
             k,
             num_nodes,
-            stream: SemiStream::turnstile(cfg),
+            stream: SemiStream::turnstile(cfg, scheme),
             set,
             degraded: Vec::new(),
             healing: Vec::new(),
@@ -194,7 +196,8 @@ impl SketchTier {
     /// iteration everywhere): equal states encode to equal bytes, and
     /// [`decode_state`](Self::decode_state) → `encode_state` round-trips
     /// byte-identically — the property the serve snapshot digest relies
-    /// on.
+    /// on. A TT tier keeps no in-degree state and writes an empty
+    /// per-destination section (tag 0, length 0) in its place.
     pub fn encode_state(&self, enc: &mut Enc) {
         let cfg = self.stream.cfg;
         enc.u64(cfg.cm_width as u64);
@@ -236,8 +239,12 @@ impl SketchTier {
             }
         }
 
-        match &self.stream.in_degree {
-            InDegree::PerDst(map) => {
+        match self.stream.in_degree.as_ref().map(|s| &s.estimator) {
+            None => {
+                enc.u8(0);
+                enc.len(0);
+            }
+            Some(InDegree::PerDst(map)) => {
                 enc.u8(0);
                 let mut dsts: Vec<NodeId> = map.keys().copied().collect();
                 dsts.sort_unstable();
@@ -251,7 +258,7 @@ impl SketchTier {
                     }
                 }
             }
-            InDegree::Bounded(table) => {
+            Some(InDegree::Bounded(table)) => {
                 enc.u8(1);
                 enc.len(table.cells().len());
                 for cell in table.cells() {
@@ -273,7 +280,8 @@ impl SketchTier {
     ///
     /// # Errors
     /// Returns a [`CodecError`] on truncation, dimension mismatches, or
-    /// invariant violations — never panics on untrusted bytes.
+    /// invariant violations — including a TT state with a non-empty
+    /// in-degree section — and never panics on untrusted bytes.
     pub fn decode_state(dec: &mut Dec<'_>) -> Result<SketchTier, CodecError> {
         let cfg = StreamConfig {
             cm_width: dec.u64("sketch.cm_width")? as usize,
@@ -301,7 +309,7 @@ impl SketchTier {
         let dropped_changes = dec.u64("sketch.dropped")?;
         let set = decode_signature_set(dec)?;
 
-        let mut stream = SemiStream::turnstile(cfg);
+        let mut stream = SemiStream::turnstile(cfg, scheme);
         let num_sources = dec.seq_len(20, "sketch.sources")?;
         let mut prev_id: Option<u32> = None;
         for _ in 0..num_sources {
@@ -328,13 +336,35 @@ impl SketchTier {
                 let d = NodeId::new(dec.u32("sketch.candidate.id")? as usize);
                 let e = dec.f64("sketch.candidate.est")?;
                 state.candidates.insert(d, e);
-                stream.trackers.entry(d).or_default().insert(id);
+                if let Some(in_degree) = &mut stream.in_degree {
+                    in_degree.trackers.entry(d).or_default().insert(id);
+                }
             }
             stream.sources.insert(id, state);
         }
 
-        match dec.u8("sketch.indeg.tag")? {
-            0 => {
+        let tag = dec.u8("sketch.indeg.tag")?;
+        match (&mut stream.in_degree, tag) {
+            (None, 0) => {
+                let n = dec.seq_len(12, "sketch.indeg.len")?;
+                if n != 0 {
+                    return Err(CodecError::from(format!(
+                        "sketch.indeg: a TT state keeps no in-degree state, found {n} destinations"
+                    )));
+                }
+            }
+            (None, tag) => {
+                return Err(CodecError::from(format!(
+                    "sketch.indeg: a TT state keeps no in-degree state, found tag {tag}"
+                )))
+            }
+            (Some(in_degree), 0) => {
+                if cfg.indeg_cells != 0 {
+                    return Err(CodecError::from(format!(
+                        "sketch.indeg: per-destination map but indeg_cells = {}",
+                        cfg.indeg_cells
+                    )));
+                }
                 let mut map = FxHashMap::default();
                 let n = dec.seq_len(12, "sketch.indeg.len")?;
                 for _ in 0..n {
@@ -348,9 +378,9 @@ impl SketchTier {
                     fm.restore(bitmaps)?;
                     map.insert(d, fm);
                 }
-                stream.in_degree = InDegree::PerDst(map);
+                in_degree.estimator = InDegree::PerDst(map);
             }
-            1 => {
+            (Some(in_degree), 1) => {
                 if cfg.indeg_cells == 0 {
                     return Err(CodecError::from(
                         "sketch.indeg: bounded table but indeg_cells = 0".to_string(),
@@ -377,9 +407,11 @@ impl SketchTier {
                     }
                     cell.restore(bitmaps)?;
                 }
-                stream.in_degree = InDegree::Bounded(table);
+                in_degree.estimator = InDegree::Bounded(table);
             }
-            tag => return Err(CodecError::from(format!("sketch.indeg: unknown tag {tag}"))),
+            (Some(_), tag) => {
+                return Err(CodecError::from(format!("sketch.indeg: unknown tag {tag}")))
+            }
         }
 
         let n_heal = dec.seq_len(4, "sketch.healing")?;
@@ -693,37 +725,209 @@ mod tests {
         assert_eq!(tier.dropped_changes(), 2);
     }
 
+    const SCHEMES: [SketchScheme; 2] = [SketchScheme::TopTalkers, SketchScheme::UnexpectedTalkers];
+
+    fn encoded(tier: &SketchTier) -> Vec<u8> {
+        let mut enc = Enc::new();
+        tier.encode_state(&mut enc);
+        enc.into_bytes()
+    }
+
+    /// Seeded random windows that honour the [`WindowDelta`] contract:
+    /// every change's `old` is the pair's current aggregate. Sources
+    /// `0..8` talk to destinations `0..24` (self-loops included), so
+    /// candidate budgets overflow and in-degrees move.
+    fn random_deltas(seed: u64, windows: usize) -> Vec<WindowDelta> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut live: FxHashMap<(usize, usize), f64> = FxHashMap::default();
+        (0..windows)
+            .map(|_| {
+                let mut pairs: Vec<(usize, usize)> = (0..30)
+                    .map(|_| (rng.random_range(0..8), rng.random_range(0..24)))
+                    .collect();
+                pairs.sort_unstable();
+                pairs.dedup();
+                let changes = pairs
+                    .into_iter()
+                    .map(|(src, dst)| {
+                        let old = live.get(&(src, dst)).copied();
+                        let new = (old.is_none() || rng.random_range(0..3) > 0)
+                            .then(|| f64::from(rng.random_range(1..20u32)) / 4.0);
+                        match new {
+                            Some(w) => live.insert((src, dst), w),
+                            None => live.remove(&(src, dst)),
+                        };
+                        change(src, dst, old, new)
+                    })
+                    .collect();
+                delta_of(changes)
+            })
+            .collect()
+    }
+
     #[test]
     fn encode_decode_round_trips_and_continues_identically() {
+        for scheme in SCHEMES {
+            for cells in [0usize, 16] {
+                let cfg = StreamConfig {
+                    indeg_cells: cells,
+                    ..StreamConfig::default()
+                };
+                let subjects: Vec<NodeId> = (0..3).map(n).collect();
+                let mut tier = SketchTier::new(scheme, cfg, &subjects, 4, 16);
+                let mut w = workload_windower();
+                for _ in 0..2 {
+                    tier.advance_window(&w.advance());
+                }
+                let bytes = encoded(&tier);
+                let mut dec = Dec::new(&bytes);
+                let mut restored = SketchTier::decode_state(&mut dec).expect("decodes");
+                dec.finish("sketch tier state").expect("fully consumed");
+                assert_eq!(bytes, encoded(&restored), "{scheme:?} cells = {cells}");
+                assert_eq!(
+                    restored.memory(),
+                    tier.memory(),
+                    "{scheme:?} cells = {cells}"
+                );
+                let delta = w.advance();
+                let ra = tier.advance_window(&delta);
+                let rb = restored.advance_window(&delta);
+                assert_eq!(ra, rb);
+                for ((va, sa), (vb, sb)) in
+                    tier.signatures().iter().zip(restored.signatures().iter())
+                {
+                    assert_eq!(va, vb);
+                    assert_eq!(sa, sb, "{scheme:?} cells = {cells}");
+                }
+            }
+        }
+    }
+
+    /// Only UT reads in-degree estimates, so a TT tier keeps neither the
+    /// estimator nor the tracker map, and its memory is the per-source
+    /// CM counters and candidates alone.
+    #[test]
+    fn tt_tier_holds_no_in_degree_state() {
+        for cells in [0usize, 16] {
+            let cfg = StreamConfig {
+                indeg_cells: cells,
+                candidate_budget: 4,
+                ..StreamConfig::default()
+            };
+            let subjects: Vec<NodeId> = (0..8).map(n).collect();
+            let mut tt = SketchTier::new(SketchScheme::TopTalkers, cfg, &subjects, 4, 24);
+            let mut ut = SketchTier::new(SketchScheme::UnexpectedTalkers, cfg, &subjects, 4, 24);
+            for delta in random_deltas(7, 6) {
+                tt.advance_window(&delta);
+                ut.advance_window(&delta);
+            }
+            let stream = tt.stream();
+            assert!(stream.in_degree.is_none(), "cells = {cells}");
+            assert_eq!(stream.estimated_in_degree(n(3)), None);
+            assert!((0..24).all(|d| stream.trackers_of(n(d)).next().is_none()));
+            let cm_bytes: usize = stream
+                .sources
+                .values()
+                .map(|s| s.cm.num_counters() * 8)
+                .sum();
+            let candidate_bytes: usize = stream
+                .sources
+                .values()
+                .map(|s| s.candidates.len() * 12)
+                .sum();
+            let cm_entries: usize = stream.sources.values().map(|s| s.cm.num_counters()).sum();
+            let candidates: usize = stream.sources.values().map(|s| s.candidates.len()).sum();
+            let mem = tt.memory();
+            assert_eq!(
+                mem.state_bytes,
+                cm_bytes + candidate_bytes,
+                "cells = {cells}"
+            );
+            assert_eq!(
+                mem.state_entries,
+                cm_entries + candidates,
+                "cells = {cells}"
+            );
+            // The UT twin over the same deltas holds exactly the same
+            // per-source state plus its in-degree estimator and trackers.
+            assert!(ut.stream().in_degree.is_some());
+            assert!(ut.memory().state_bytes > mem.state_bytes, "cells = {cells}");
+            assert!((0..24).any(|d| ut.stream().trackers_of(n(d)).next().is_some()));
+        }
+    }
+
+    /// Dropping the in-degree state changes no TT output bit: a stream
+    /// that still tracks in-degree yields the same TT signatures and
+    /// dirty sets over seeded random deltas.
+    #[test]
+    fn tt_signatures_match_a_stream_that_tracks_in_degree() {
+        for cells in [0usize, 16] {
+            for seed in 0..4u64 {
+                let cfg = StreamConfig {
+                    indeg_cells: cells,
+                    candidate_budget: 4,
+                    cm_width: 16,
+                    cm_depth: 2,
+                    ..StreamConfig::default()
+                };
+                let subjects: Vec<NodeId> = (0..8).map(n).collect();
+                let mut tier = SketchTier::new(SketchScheme::TopTalkers, cfg, &subjects, 3, 24);
+                let mut tracking = SemiStream::turnstile(cfg, SketchScheme::UnexpectedTalkers);
+                for delta in random_deltas(seed, 8) {
+                    let report = tier.advance_window(&delta);
+                    let mut touched: Vec<NodeId> = Vec::new();
+                    for ch in &delta.changes {
+                        tracking.apply_change(ch.src, ch.dst, ch.old, ch.new);
+                        touched.push(ch.src);
+                    }
+                    touched.sort_unstable();
+                    touched.dedup();
+                    assert_eq!(report.dirty, touched, "cells = {cells} seed = {seed}");
+                    for (v, sig) in tier.signatures().iter() {
+                        assert_eq!(
+                            sig,
+                            &tracking.tt_signature(v, 3),
+                            "cells = {cells} seed = {seed} subject {v}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn decode_rejects_in_degree_state_in_a_tt_state() {
+        let subjects: Vec<NodeId> = (0..3).map(n).collect();
         for cells in [0usize, 16] {
             let cfg = StreamConfig {
                 indeg_cells: cells,
                 ..StreamConfig::default()
             };
-            let subjects: Vec<NodeId> = (0..3).map(n).collect();
-            let mut tier = SketchTier::new(SketchScheme::UnexpectedTalkers, cfg, &subjects, 4, 16);
+            let mut ut = SketchTier::new(SketchScheme::UnexpectedTalkers, cfg, &subjects, 4, 16);
             let mut w = workload_windower();
-            for _ in 0..2 {
-                tier.advance_window(&w.advance());
-            }
-            let mut enc = Enc::new();
-            tier.encode_state(&mut enc);
-            let bytes = enc.into_bytes();
-            let mut dec = Dec::new(&bytes);
-            let mut restored = SketchTier::decode_state(&mut dec).expect("decodes");
-            dec.finish("sketch tier state").expect("fully consumed");
-            let mut re = Enc::new();
-            restored.encode_state(&mut re);
-            assert_eq!(bytes, re.into_bytes(), "re-encode is byte-identical");
-            let delta = w.advance();
-            let ra = tier.advance_window(&delta);
-            let rb = restored.advance_window(&delta);
-            assert_eq!(ra, rb);
-            for ((va, sa), (vb, sb)) in tier.signatures().iter().zip(restored.signatures().iter()) {
-                assert_eq!(va, vb);
-                assert_eq!(sa, sb, "cells = {cells}");
-            }
+            ut.advance_window(&w.advance());
+            let mut bytes = encoded(&ut);
+            // The scheme tag follows the seven u64 sizing fields.
+            assert_eq!(bytes[56], 1, "UT scheme tag");
+            bytes[56] = 0;
+            let err = SketchTier::decode_state(&mut Dec::new(&bytes)).expect_err("rejected");
+            assert!(err.to_string().contains("sketch.indeg"), "{err}");
         }
+        // A UT state whose per-destination map contradicts its bounded
+        // sizing is rejected the same way.
+        let ut = SketchTier::new(
+            SketchScheme::UnexpectedTalkers,
+            StreamConfig::default(),
+            &subjects,
+            4,
+            16,
+        );
+        let mut bytes = encoded(&ut);
+        bytes[40] = 16; // indeg_cells, the sixth u64
+        let err = SketchTier::decode_state(&mut Dec::new(&bytes)).expect_err("rejected");
+        assert!(err.to_string().contains("sketch.indeg"), "{err}");
     }
 
     #[test]
@@ -750,11 +954,24 @@ mod tests {
     #[test]
     fn scheme_spec_parsing() {
         assert_eq!(SketchScheme::parse("tt"), Some(SketchScheme::TopTalkers));
-        assert_eq!(
-            SketchScheme::parse("ut:novel=0.5"),
-            Some(SketchScheme::UnexpectedTalkers)
-        );
-        assert_eq!(SketchScheme::parse("rwr:h=2,c=0.1"), None);
+        for spec in ["ut", "ut:ratio"] {
+            assert_eq!(
+                SketchScheme::parse(spec),
+                Some(SketchScheme::UnexpectedTalkers)
+            );
+        }
+        // Specs the sketches would silently compute as another scheme.
+        for spec in [
+            "ut:tfidf",
+            "ut:log",
+            "ut:novel=0.5",
+            "tt:bogus",
+            "tt:",
+            "rwr:h=2,c=0.1",
+            "",
+        ] {
+            assert_eq!(SketchScheme::parse(spec), None, "{spec}");
+        }
         assert_eq!(SketchScheme::TopTalkers.name(), "tt");
     }
 }
